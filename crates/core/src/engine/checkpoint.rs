@@ -53,8 +53,11 @@ use super::TimingEval;
 use crate::obs::{json, Json};
 use crate::space::Space;
 
-/// Version stamp of the checkpoint file layout.
-pub const CHECKPOINT_SCHEMA: u64 = 1;
+/// Version stamp of the checkpoint file layout *and* of the result-key
+/// encoding its `results` are addressed by ([`cache`]): a key-encoding
+/// change bumps it, so `--resume` on an older checkpoint fails fast
+/// instead of replaying nothing. 2: canonical binary key encoding.
+pub const CHECKPOINT_SCHEMA: u64 = 2;
 
 /// Default work units between periodic checkpoint writes.
 pub const DEFAULT_CHECKPOINT_EVERY: usize = 64;

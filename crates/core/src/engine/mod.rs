@@ -13,8 +13,10 @@
 //!   and lost workers are respawned.
 //! * **Memo cache** — timing work is deduplicated by a content hash of
 //!   (linearized program, launch, resource usage, machine spec)
-//!   ([`cache`]). Configurations differing only in top-level trip
-//!   counts — any number of axes — form a *family* simulated in one
+//!   ([`cache`]), computed on the worker pool in the same pass that
+//!   instantiates and linearizes the candidates. Configurations
+//!   differing only in top-level trip counts — any number of axes —
+//!   form a *family* simulated in one
 //!   forked run (`gpu_sim::timing::simulate_family_decoded`), so each
 //!   MRI-FHD cluster of seven costs roughly one simulation. Failed
 //!   evaluations are never cached: a family containing a failing member
@@ -688,37 +690,50 @@ impl EvalEngine {
             None => eval,
         };
 
-        // Phase 1a: instantiate and linearize the selected candidates on
-        // the worker pool. For an eager slice source this merely borrows;
-        // for a lazy point source this is where kernel generation and the
-        // pass pipelines actually run — inside the pool, never
-        // materialized up front. Pool dispatch emits only Runtime-scope
-        // events, so the canonical (Search-scope) trace is unchanged.
-        let eligible: Vec<usize> = selected
+        // Phase 1a: instantiate, linearize and key the selected
+        // candidates on the worker pool. For an eager slice source this
+        // merely borrows; for a lazy point source this is where kernel
+        // generation and the pass pipelines actually run — inside the
+        // pool, never materialized up front. The spec's share of every
+        // key is hashed once, here. Pool dispatch emits only
+        // Runtime-scope events, so the canonical (Search-scope) trace is
+        // unchanged.
+        let eligible: Vec<(usize, ResourceUsage)> = selected
             .iter()
-            .copied()
-            .filter(|&i| statics.get(i).is_some_and(Option::is_some))
+            .filter_map(|&i| Some((i, statics.get(i)?.as_ref()?.kernel_profile.usage)))
             .collect();
+        let seed = cache::SpecSeed::new(spec);
+        let observer = self.observer();
         let prepared = pool::run_indexed_observed(
             self.config.jobs,
             eligible.len(),
             |k| {
-                let c = source.get(eligible[k]);
-                (linearize(&c.kernel), c.launch, c.invocations)
+                let (i, usage) = eligible[k];
+                let c = source.get(i);
+                let prog = linearize(&c.kernel);
+                let key_started = Instant::now();
+                let (exact, class) = cache::keys(&seed, &prog, &c.launch, &usage);
+                if let Some(sink) = observer {
+                    sink.record_latency(
+                        LatencyLane::CacheLookup,
+                        key_started.elapsed().as_micros() as u64,
+                    );
+                }
+                (prog, c.launch, c.invocations, exact, class)
             },
-            self.observer(),
+            observer,
             "timing",
         );
 
-        // Phase 1b: key and deduplicate. `uniques` keeps discovery order,
-        // which makes every later ordering decision deterministic.
+        // Phase 1b: deduplicate by the keys the workers computed.
+        // `uniques` keeps discovery order, which makes every later
+        // ordering decision deterministic.
         let mut unique_of: HashMap<u64, usize> = HashMap::new();
         let mut uniques: Vec<UniqueSim> = Vec::new();
         // (candidate, unique, invocations)
         let mut assignments: Vec<(usize, usize, u32)> = Vec::new();
-        for (&i, prep) in eligible.iter().zip(prepared) {
-            let Some(e) = statics.get(i).and_then(|s| s.as_ref()) else { continue };
-            let (prog, launch, invocations) = match prep {
+        for (&(i, usage), prep) in eligible.iter().zip(prepared) {
+            let (prog, launch, invocations, exact, class) = match prep {
                 Ok(p) => p,
                 // The prepare worker died (a panicking generator, say):
                 // the candidate never reaches dedup, so quarantine it
@@ -742,16 +757,7 @@ impl EvalEngine {
                     continue;
                 }
             };
-            let usage = e.kernel_profile.usage;
-            let lookup_started = Instant::now();
-            let exact = cache::exact_key(&prog, &launch, &usage, spec);
             let hit = unique_of.get(&exact).copied();
-            if let Some(sink) = &self.sink {
-                sink.record_latency(
-                    LatencyLane::CacheLookup,
-                    lookup_started.elapsed().as_micros() as u64,
-                );
-            }
             let u = hit.unwrap_or(uniques.len());
             self.emit(
                 EventKind::Point,
@@ -759,7 +765,6 @@ impl EvalEngine {
                 vec![("candidate", Json::from(i)), ("unique", Json::from(u))],
             );
             if hit.is_none() {
-                let class = cache::class_key(&prog, &launch, &usage, spec);
                 // Decode once per masked structure: the arena stores no
                 // trip counts, so every family member (and every probe
                 // corner sharing the class) reuses it verbatim — only

@@ -15,13 +15,32 @@
 //! files. Each record is framed as
 //!
 //! ```text
-//! magic (4 bytes) | payload_len: u32 LE | fnv1a64(payload): u64 LE | payload
+//! magic (4 bytes) | payload_len: u32 LE | checksum: u64 LE | payload
 //! ```
 //!
 //! where the payload is the compact hand-rolled-JSON encoding of
 //! `{"key": <u64>, "report": {...}}` (no serde — the workspace is
-//! offline). The magic starts with a NUL byte, which cannot occur inside
+//! offline) and the checksum is FNV-1a 64 over magic, length and
+//! payload. The magic starts with a NUL byte, which cannot occur inside
 //! JSON text, so a forward scan can re-synchronize after damage.
+//!
+//! # Record versions
+//!
+//! The magic's last byte is the **record version**, which names the
+//! key encoding the record is addressed by: `00 52 53 02` records carry
+//! keys of the canonical binary encoding in
+//! [`cache`](super::cache). Version `01` records carry keys of the
+//! retired `Debug`-text encoding (their checksum covers the payload
+//! only). Their keys can never match a current key, so the loader
+//! counts a well-formed `01` record as **stale**
+//! ([`ResultStore::records_stale`]) and never serves it; stale records
+//! are not damage and do not count as dropped. Any change to the key
+//! encoding bumps this version byte *and*
+//! [`CHECKPOINT_SCHEMA`](super::checkpoint::CHECKPOINT_SCHEMA), so old
+//! stores go cold visibly and old checkpoints refuse to resume.
+//!
+//! Keys are 64-bit: at 10⁶ distinct keys in one store the chance that
+//! any two collide is about n²/2⁶⁵ ≈ 3·10⁻⁸.
 //!
 //! # Crash safety
 //!
@@ -38,8 +57,8 @@
 //! A record whose magic, length, checksum, or JSON payload does not
 //! validate is *dropped*, counted in [`ResultStore::records_dropped`]
 //! (surfaced as `store_records_dropped` in `EngineMetrics`), and the
-//! scan resumes at the next magic marker. Loading never fails on
-//! damaged content — only on an unreadable directory.
+//! scan resumes at the next magic marker of either version. Loading
+//! never fails on damaged content — only on an unreadable directory.
 
 use std::collections::HashMap;
 use std::fs::{self, OpenOptions};
@@ -52,10 +71,14 @@ use gpu_sim::timing::TimingReport;
 
 use crate::obs::{json, Json};
 
-/// Record marker. The leading NUL byte cannot appear in JSON text, so
-/// scanning for this sequence after damage cannot match inside a
-/// payload.
-const MAGIC: [u8; 4] = [0x00, b'R', b'S', 0x01];
+/// Record marker; the last byte is the record version. The leading NUL
+/// byte cannot appear in JSON text, so scanning for a marker after
+/// damage cannot match inside a payload.
+const MAGIC: [u8; 4] = [0x00, b'R', b'S', 0x02];
+
+/// Marker of a record keyed by the retired encoding: recognized, counted
+/// stale, never served.
+const STALE_MAGIC: [u8; 4] = [0x00, b'R', b'S', 0x01];
 
 /// Bytes of framing before the payload: magic + length + checksum.
 const HEADER_LEN: usize = 4 + 4 + 8;
@@ -71,12 +94,22 @@ const DEFAULT_SEGMENT_BYTES: u64 = 256 * 1024;
 
 /// FNV-1a 64-bit hash of `bytes` (the record checksum).
 fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    fnv1a64_from(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// FNV-1a 64 continued from `hash` over `bytes`.
+fn fnv1a64_from(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         hash ^= u64::from(b);
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
     hash
+}
+
+/// Checksum of a current record: magic, length and payload, so a flip
+/// of the version byte cannot pass as a well-formed stale record.
+fn record_checksum(head: &[u8], payload: &[u8]) -> u64 {
+    fnv1a64_from(fnv1a64(head), payload)
 }
 
 /// Serialize a timing report to the JSON shape stored on disk (also
@@ -170,19 +203,33 @@ fn encode_record(key: u64, report: &TimingReport) -> Vec<u8> {
     let mut rec = Vec::with_capacity(HEADER_LEN + payload.len());
     rec.extend_from_slice(&MAGIC);
     rec.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    rec.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
+    let checksum = record_checksum(&rec, &payload);
+    rec.extend_from_slice(&checksum.to_le_bytes());
     rec.extend_from_slice(&payload);
     rec
 }
 
-/// Try to decode one record at the start of `buf`. `Ok((key, report,
-/// consumed))` on success; any validation failure is `Err(())` and the
-/// caller re-synchronizes.
+/// One decoded record frame.
+enum Record {
+    /// A current record and the bytes it spans.
+    Current(u64, TimingReport, usize),
+    /// A well-formed record of the retired key encoding and the bytes
+    /// it spans.
+    Stale(usize),
+}
+
+/// Try to decode one record at the start of `buf`. Any validation
+/// failure is `Err(())` and the caller re-synchronizes.
 #[allow(clippy::result_unit_err)]
-fn decode_record(buf: &[u8]) -> Result<(u64, TimingReport, usize), ()> {
-    if buf.len() < HEADER_LEN || buf[..4] != MAGIC {
+fn decode_record(buf: &[u8]) -> Result<Record, ()> {
+    if buf.len() < HEADER_LEN {
         return Err(());
     }
+    let stale = match buf[..4].try_into().map_err(|_| ())? {
+        MAGIC => false,
+        STALE_MAGIC => true,
+        _ => return Err(()),
+    };
     let len = u32::from_le_bytes(buf[4..8].try_into().map_err(|_| ())?);
     if len > MAX_PAYLOAD {
         return Err(());
@@ -194,40 +241,50 @@ fn decode_record(buf: &[u8]) -> Result<(u64, TimingReport, usize), ()> {
     }
     let checksum = u64::from_le_bytes(buf[8..16].try_into().map_err(|_| ())?);
     let payload = &buf[HEADER_LEN..end];
-    if fnv1a64(payload) != checksum {
+    if stale {
+        // The retired frame checksummed the payload alone.
+        return if fnv1a64(payload) == checksum { Ok(Record::Stale(end)) } else { Err(()) };
+    }
+    if record_checksum(&buf[..8], payload) != checksum {
         return Err(());
     }
     let text = std::str::from_utf8(payload).map_err(|_| ())?;
     let doc = json::parse(text).map_err(|_| ())?;
     let key = doc.get("key").and_then(Json::as_u64).ok_or(())?;
     let report = doc.get("report").and_then(report_from_json).ok_or(())?;
-    Ok((key, report, end))
+    Ok(Record::Current(key, report, end))
 }
 
-/// Find the next offset `>= from` where the magic marker starts.
+/// Find the next offset `>= from` where a record marker of either
+/// version starts.
 fn find_magic(buf: &[u8], from: usize) -> Option<usize> {
-    (from..buf.len().saturating_sub(MAGIC.len() - 1)).find(|&i| buf[i..i + MAGIC.len()] == MAGIC)
+    (from..buf.len().saturating_sub(MAGIC.len() - 1)).find(|&i| {
+        let m = &buf[i..i + MAGIC.len()];
+        m == MAGIC || m == STALE_MAGIC
+    })
 }
 
 /// Decode every record in one segment's bytes into `index`, skipping
-/// damage. Returns `(records_loaded, records_dropped)`.
-fn scan_segment(buf: &[u8], index: &mut HashMap<u64, TimingReport>) -> (usize, usize) {
-    let (mut loaded, mut dropped) = (0, 0);
+/// stale records and damage, and count them into `audit`.
+fn scan_segment(buf: &[u8], index: &mut HashMap<u64, TimingReport>, audit: &mut StoreAudit) {
     let mut pos = 0;
     while pos < buf.len() {
         match decode_record(&buf[pos..]) {
-            Ok((key, report, consumed)) => {
+            Ok(Record::Current(key, report, consumed)) => {
                 index.insert(key, report);
-                loaded += 1;
+                audit.records += 1;
+                pos += consumed;
+            }
+            Ok(Record::Stale(consumed)) => {
+                audit.stale += 1;
                 pos += consumed;
             }
             Err(()) => {
-                dropped += 1;
+                audit.dropped += 1;
                 pos = find_magic(buf, pos + 1).unwrap_or(buf.len());
             }
         }
     }
-    (loaded, dropped)
 }
 
 /// Append position of one shard's current segment.
@@ -241,7 +298,7 @@ struct ShardState {
 
 /// Aggregate health of a store directory, as reported by
 /// [`ResultStore::open`] (and the `store verify` subcommand).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StoreAudit {
     /// Segment files scanned.
     pub segments: usize,
@@ -251,6 +308,8 @@ pub struct StoreAudit {
     pub keys: usize,
     /// Damaged records skipped by the loader.
     pub dropped: usize,
+    /// Well-formed records of a retired key encoding, skipped unserved.
+    pub stale: usize,
     /// Total segment bytes scanned.
     pub bytes: u64,
 }
@@ -298,14 +357,12 @@ impl ResultStore {
         segments.sort();
 
         let mut index = HashMap::new();
-        let mut audit = StoreAudit { segments: 0, records: 0, keys: 0, dropped: 0, bytes: 0 };
+        let mut audit = StoreAudit::default();
         let mut shards = [ShardState::default(); SHARD_COUNT];
         for &(shard, idx, ref path) in &segments {
             let buf = fs::read(path)?;
-            let (loaded, dropped) = scan_segment(&buf, &mut index);
+            scan_segment(&buf, &mut index, &mut audit);
             audit.segments += 1;
-            audit.records += loaded;
-            audit.dropped += dropped;
             audit.bytes += buf.len() as u64;
             if idx >= shards[shard].segment {
                 shards[shard] = ShardState { segment: idx, bytes: buf.len() as u64 };
@@ -411,6 +468,12 @@ impl ResultStore {
     /// Damaged records skipped when this store was opened.
     pub fn records_dropped(&self) -> usize {
         self.audit.dropped
+    }
+
+    /// Records of a retired key encoding skipped (never served) when
+    /// this store was opened.
+    pub fn records_stale(&self) -> usize {
+        self.audit.stale
     }
 
     /// Records loaded when this store was opened (before new puts).
@@ -605,6 +668,53 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A record framed the way the retired key encoding's stores were.
+    fn stale_record(key: u64, report: &TimingReport) -> Vec<u8> {
+        let payload = Json::obj([("key", Json::from(key)), ("report", report_to_json(report))])
+            .to_string_compact()
+            .into_bytes();
+        let mut rec = STALE_MAGIC.to_vec();
+        rec.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        rec.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
+        rec.extend_from_slice(&payload);
+        rec
+    }
+
+    #[test]
+    fn stale_records_are_counted_and_never_served() {
+        let dir = tmpdir("stale");
+        fs::create_dir_all(&dir).unwrap();
+        let mut seg = stale_record(4, &report(1));
+        seg.extend(encode_record(8, &report(2)));
+        seg.extend(stale_record(12, &report(3)));
+        fs::write(dir.join(segment_name(0, 0)), &seg).unwrap();
+
+        let store = ResultStore::open(&dir).unwrap();
+        assert_eq!(store.records_stale(), 2);
+        assert_eq!(store.records_dropped(), 0, "stale is not damage");
+        assert_eq!(store.records_loaded(), 1);
+        assert_eq!(store.get(4), None);
+        assert_eq!(store.get(8), Some(report(2)));
+        assert_eq!(store.get(12), None);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_flipped_version_byte_is_damage_not_staleness() {
+        let dir = tmpdir("version-flip");
+        fs::create_dir_all(&dir).unwrap();
+        let mut seg = encode_record(4, &report(1));
+        seg[3] = STALE_MAGIC[3];
+        seg.extend(encode_record(8, &report(2)));
+        fs::write(dir.join(segment_name(0, 0)), &seg).unwrap();
+
+        let store = ResultStore::open(&dir).unwrap();
+        assert_eq!(store.records_stale(), 0);
+        assert_eq!(store.records_dropped(), 1);
+        assert_eq!(store.get(8), Some(report(2)), "the neighbour survives");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn non_finite_reports_are_not_persisted() {
         let dir = tmpdir("nonfinite");
@@ -631,6 +741,7 @@ mod tests {
         assert_eq!(audit.records, 10);
         assert_eq!(audit.keys, 10);
         assert_eq!(audit.dropped, 0);
+        assert_eq!(audit.stale, 0);
         assert!(audit.segments >= 1 && audit.bytes > 0);
         fs::remove_dir_all(&dir).unwrap();
     }

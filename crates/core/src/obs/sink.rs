@@ -55,7 +55,9 @@ impl Phase {
 pub enum LatencyLane {
     /// Wall time of one executed simulation unit.
     Sim,
-    /// Wall time of one memo-cache key computation + lookup.
+    /// Wall time of one memo-cache key computation (both keys, on the
+    /// pool worker that prepares the candidate; the dedup pass's lookup
+    /// that consumes them is a single map probe).
     CacheLookup,
     /// Wall time of one persistent-store read or flush.
     StoreIo,

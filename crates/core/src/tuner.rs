@@ -803,20 +803,43 @@ impl BranchAndBound {
             }
         }
 
-        // Honest elimination accounting: of each pruned subspace's
-        // admitted completions, the corners the bound itself probed
-        // *were* instantiated — only the rest were eliminated sight
-        // unseen.
-        let probed = bound.instantiated_ranks();
         stats.bound_pruned_subspaces = pruned.len();
-        for sub in &pruned {
-            let admitted = sub.admitted_count();
-            let probed_inside = probed.iter().filter(|&&r| sub.contains_admitted_rank(r)).count();
-            stats.bound_pruned_points += admitted.saturating_sub(probed_inside);
-        }
+        stats.bound_pruned_points = pruned_points(space, &pruned, &bound.instantiated_ranks());
 
         finish_report(engine, self.name(), n, statics, simulated, quarantined, stats)
     }
+}
+
+/// Honest elimination accounting: of each pruned subspace's admitted
+/// completions, the `probed` corners the bound itself instantiated
+/// *were* instantiated — only the rest were eliminated sight unseen.
+///
+/// `split` binds the first unbound axis, so every pruned subspace binds
+/// a prefix of the axes, and frontier subspaces are disjoint. A probed
+/// rank therefore lies in at most one pruned subspace — the one keyed by
+/// a prefix of the rank's own bindings — found in at most n+1 lookups.
+fn pruned_points(space: &Space, pruned: &[crate::space::PartialPoint], probed: &[usize]) -> usize {
+    let axes = space.axes().len();
+    let by_prefix: HashMap<&[Option<usize>], usize> = pruned
+        .iter()
+        .enumerate()
+        .map(|(k, sub)| {
+            let prefix = sub.split_axis().unwrap_or(axes);
+            debug_assert!(sub.bindings()[prefix..].iter().all(Option::is_none), "{sub}");
+            (&sub.bindings()[..prefix], k)
+        })
+        .collect();
+    debug_assert_eq!(by_prefix.len(), pruned.len(), "pruned subspaces repeat");
+    let mut inside = vec![0usize; pruned.len()];
+    for &rank in probed {
+        let Some(point) = space.point_at_grid_rank(rank) else { continue };
+        let leaf = point.to_partial();
+        let owner = (0..=axes).find_map(|len| by_prefix.get(&leaf.bindings()[..len]).copied());
+        if let Some(k) = owner.filter(|&k| pruned[k].contains_admitted_rank(rank)) {
+            inside[k] += 1;
+        }
+    }
+    pruned.iter().zip(inside).map(|(sub, n)| sub.admitted_count().saturating_sub(n)).sum()
 }
 
 #[cfg(test)]
@@ -980,6 +1003,48 @@ pub(crate) mod tests {
         // stays honest at zero here; `tests/branch_and_bound.rs` pins
         // it nonzero on the real (deeper) application spaces.
         assert!(bb.stats.bound_pruned_points + bb.evaluated_count() <= bb.space_size);
+    }
+
+    /// The prefix-indexed accounting agrees with testing every probed
+    /// rank against every pruned subspace, on random frontiers of a
+    /// constrained space.
+    #[test]
+    fn pruned_points_match_the_pairwise_definition() {
+        use rand::Rng;
+        let space = Space::builder()
+            .axis("a", [1u32, 2, 3])
+            .axis("b", [1u32, 2, 3, 4])
+            .axis("c", [0u32, 1])
+            .axis("d", [1u32, 2, 3])
+            .constraint("a divides b", |p| p.u32("b").is_multiple_of(p.u32("a")))
+            .build();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        for _ in 0..200 {
+            // A frontier grown the way run_space grows one: split a node
+            // into its constraint-admitting children.
+            let mut frontier = vec![space.partial()];
+            for _ in 0..rng.gen_range(0..12) {
+                let k = rng.gen_range(0..frontier.len());
+                if frontier[k].is_complete() {
+                    continue;
+                }
+                let node = frontier.swap_remove(k);
+                frontier
+                    .extend(node.split().into_iter().filter(|c| c.completions().next().is_some()));
+            }
+            let pruned: Vec<_> =
+                frontier.into_iter().filter(|_| rng.gen_range(0..10) < 6).collect();
+            let probed: Vec<usize> =
+                (0..rng.gen_range(0..40)).map(|_| rng.gen_range(0..space.grid_len() + 4)).collect();
+            let pairwise: usize = pruned
+                .iter()
+                .map(|sub| {
+                    let hit = probed.iter().filter(|&&r| sub.contains_admitted_rank(r)).count();
+                    sub.admitted_count().saturating_sub(hit)
+                })
+                .sum();
+            assert_eq!(pruned_points(&space, &pruned, &probed), pairwise);
+        }
     }
 
     #[test]

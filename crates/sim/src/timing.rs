@@ -302,7 +302,13 @@ impl WarpSoA {
     /// op at its pc — used when a barrier release revives a parked warp
     /// (its sentinel must give way to a real issue time again).
     fn refresh_ready(&mut self, wi: usize, arena: &DecodedArena) {
-        let op = &arena.ops[self.pc[wi] as usize];
+        // A warp whose barrier was the program's last op retired on
+        // arrival: the release leaves it nothing to issue.
+        let Some(op) = arena.ops.get(self.pc[wi] as usize) else {
+            debug_assert!(self.done[wi], "pc past the end of a live warp");
+            self.ready_at[wi] = u64::MAX;
+            return;
+        };
         self.ready_at[wi] = self.stall_until[wi].max(self.operands_ready(wi, op));
         self.next_sfu[wi] = op.kind == DecKind::Instr && op.lat == LatClass::Sfu;
     }

@@ -16,6 +16,13 @@ cargo build --release
 echo "==> cargo test"
 cargo test -q
 
+echo "==> cargo test --workspace"
+# Every member's own tests (library unit tests, per-crate integration
+# tests) — the root run above covers only the root package. The dev
+# profile keeps the simulators' debug_assert!s armed (arena/source
+# positional identity, frame bookkeeping).
+cargo test -q --workspace
+
 echo "==> trace smoke (tune sad --trace-out/--metrics-out + validate)"
 # A full-space SAD search must export a JSONL trace whose every line
 # parses and a manifest that survives a serialize -> parse round trip;
@@ -227,12 +234,6 @@ diff -u "$tracedir/engine_decoded.txt" "$tracedir/engine_legacy.txt" || {
     echo "decoded-parity smoke: reports differ between engines" >&2
     exit 1
 }
-
-echo "==> debug-assertion build (gpu-sim dev profile)"
-# The simulators carry their structural invariants as debug_assert!s
-# (arena/source positional identity, frame bookkeeping); a dev-profile
-# build+test of the sim crate keeps those armed.
-cargo test -q -p gpu-sim > /dev/null
 
 echo "==> cargo doc (-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps > /dev/null

@@ -94,7 +94,8 @@ commands:
              [--store-dir <dir>] [--checkpoint <path>] [--checkpoint-every N]
              [--resume <path>] [--stop-after-units N]
   store verify <dir>          audit a persistent result store: segments,
-                              records, and corrupt records dropped
+                              records, corrupt records dropped, and
+                              stale records of a retired key encoding
   parse <file>                parse a textual kernel and print its analyses
   validate <trace> <manifest> check a --trace-out JSONL file parses and a
                               --metrics-out manifest round-trips
@@ -593,9 +594,10 @@ fn cmd_tune(args: &[String]) -> ExitCode {
             Ok(st) => {
                 let st = Arc::new(st);
                 eprintln!(
-                    "result store {dir}: {} records loaded, {} dropped (generation {})",
+                    "result store {dir}: {} records loaded, {} dropped, {} stale (generation {})",
                     st.records_loaded(),
                     st.records_dropped(),
+                    st.records_stale(),
                     st.generation(),
                 );
                 engine = engine.with_store(Arc::clone(&st));
@@ -820,7 +822,7 @@ fn cmd_store(args: &[String]) -> ExitCode {
                 Ok(audit) => {
                     println!(
                         "store {dir}: {} segment{}, {} record{} ({} distinct key{}), \
-                         {} dropped, {} bytes",
+                         {} dropped, {} stale, {} bytes",
                         audit.segments,
                         if audit.segments == 1 { "" } else { "s" },
                         audit.records,
@@ -828,6 +830,7 @@ fn cmd_store(args: &[String]) -> ExitCode {
                         audit.keys,
                         if audit.keys == 1 { "" } else { "s" },
                         audit.dropped,
+                        audit.stale,
                         audit.bytes,
                     );
                     ExitCode::SUCCESS

@@ -105,3 +105,27 @@ proptest! {
         assert_parity(&cand, &mem, &params);
     }
 }
+
+/// Regression: a kernel whose last op is a barrier. Every warp retires
+/// on arrival, so the release revives warps with nothing left to issue;
+/// the decoded engine once indexed past the end of the arena there.
+#[test]
+fn kernel_ending_on_barrier_matches_legacy() {
+    use gpu_autotune::arch::ResourceUsage;
+    use gpu_autotune::ir::build::KernelBuilder;
+    use gpu_autotune::ir::{Dim, Launch};
+
+    let mut b = KernelBuilder::new("ts");
+    let p = b.param(0);
+    let acc = b.mov(0.0f32);
+    b.fmad_acc(1.0f32, 1.0f32, acc);
+    b.st_global(p, 0, acc);
+    b.sync(); // program ends at a barrier
+    let prog = linearize(&b.finish());
+    let spec = MachineSpec::geforce_8800_gtx();
+    let launch = Launch::new(Dim::new_1d(4), Dim::new_1d(64));
+    let usage = ResourceUsage::new(64, 10, 0);
+    let leg = legacy::timing::simulate_fueled(&prog, &launch, &usage, &spec, None);
+    let dec = timing::simulate_fueled(&prog, &launch, &usage, &spec, None);
+    assert_eq!(format!("{dec:?}"), format!("{leg:?}"));
+}

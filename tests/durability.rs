@@ -11,6 +11,9 @@
 //! * **Warm store** — a second run over the same space with the same
 //!   store completes with zero fresh simulations: every unique comes
 //!   back as a store hit and the report matches the cold run.
+//! * **Key-schema changes** — records and checkpoints written under a
+//!   retired key encoding are rejected cleanly: stale store records are
+//!   counted and never served, and an old checkpoint refuses to resume.
 
 use std::fs;
 use std::path::PathBuf;
@@ -19,7 +22,7 @@ use std::sync::Arc;
 use gpu_autotune::arch::{LimitingFactor, MachineSpec, Occupancy};
 use gpu_autotune::kernels::{sad::Sad, App};
 use gpu_autotune::optspace::engine::{
-    checkpoint, CheckpointMeta, Checkpointer, EngineConfig, EvalEngine, ResultStore,
+    cache, checkpoint, store, CheckpointMeta, Checkpointer, EngineConfig, EvalEngine, ResultStore,
 };
 use gpu_autotune::optspace::obs::{EventSink, Trace};
 use gpu_autotune::optspace::tuner::{ExhaustiveSearch, SearchReport, SearchStrategy};
@@ -297,4 +300,69 @@ fn warm_store_survives_a_corrupt_segment() {
         damaged.records_dropped(),
         "the drop count surfaces in the engine stats"
     );
+}
+
+/// A store record framed as the retired `Debug`-text key encoding wrote
+/// them: marker `00 52 53 01`, then payload length and an FNV-1a 64
+/// checksum of the payload alone.
+fn version_one_record(key: u64, report: &TimingReport) -> Vec<u8> {
+    let payload = gpu_autotune::optspace::obs::Json::obj([
+        ("key", key.into()),
+        ("report", store::report_to_json(report)),
+    ])
+    .to_string_compact()
+    .into_bytes();
+    let mut checksum = 0xcbf2_9ce4_8422_2325u64;
+    for &b in &payload {
+        checksum = (checksum ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    let mut rec = vec![0x00, b'R', b'S', 0x01];
+    rec.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    rec.extend_from_slice(&checksum.to_le_bytes());
+    rec.extend_from_slice(&payload);
+    rec
+}
+
+#[test]
+fn a_version_one_record_is_stale_and_never_served() {
+    use gpu_autotune::ir::linear::linearize;
+    let dir = scratch("stale");
+    // Address the old record by a key the search will really look up,
+    // so only the version byte stands between it and a store hit.
+    let spec = g80();
+    let (c, e) = Sad::test_problem()
+        .candidates()
+        .into_iter()
+        .find_map(|c| c.evaluate(&spec).ok().map(|e| (c, e)))
+        .expect("a valid SAD candidate");
+    let key = cache::exact_key(&linearize(&c.kernel), &c.launch, &e.kernel_profile.usage, &spec);
+    fs::write(dir.join("s0-0000.seg"), version_one_record(key, &fake_report(0))).expect("write");
+
+    let audit = store::verify(&dir).expect("verify");
+    assert_eq!((audit.records, audit.stale, audit.dropped), (0, 1, 0));
+    let st = Arc::new(ResultStore::open(&dir).expect("open"));
+    assert_eq!(st.records_stale(), 1);
+    assert_eq!(st.records_dropped(), 0, "a stale record is not damage");
+    assert_eq!(st.get(key), None);
+    let (report, _) = run_sad(1, |e| e.with_store(Arc::clone(&st)));
+    assert_eq!(report.stats.store_hits, 0, "a stale record is never served");
+    assert_eq!(report.stats.store_records_dropped, 0);
+}
+
+#[test]
+fn a_checkpoint_of_the_previous_key_schema_refuses_to_resume() {
+    let dir = scratch("old-checkpoint");
+    let ck_path = dir.join("ck.json");
+    let meta = CheckpointMeta::new("sad", "exhaustive", None, &Sad::test_problem().space());
+    let ck = Arc::new(Checkpointer::new(&ck_path, 8, meta).with_stop_after(4));
+    let _ = run_sad(1, |e| e.with_checkpoint(Arc::clone(&ck)));
+    ck.write_now().expect("publish");
+    assert!(checkpoint::load(&ck_path).is_ok());
+
+    let current = format!("\"schema\":{}", checkpoint::CHECKPOINT_SCHEMA);
+    let text = fs::read_to_string(&ck_path).expect("read");
+    assert!(text.starts_with(&format!("{{{current},")), "the schema field leads the file");
+    fs::write(&ck_path, text.replacen(&current, "\"schema\":1", 1)).expect("rewrite");
+    let err = checkpoint::load(&ck_path).expect_err("an old checkpoint must not resume");
+    assert!(err.contains("checkpoint schema 1"), "{err}");
 }
