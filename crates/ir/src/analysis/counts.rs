@@ -12,8 +12,6 @@
 //! a loop contributes `trips * (body + LOOP_OVERHEAD_INSTRS)` dynamic
 //! instructions and `trips * body_blocking_units` blocking units.
 
-use std::collections::HashSet;
-
 use crate::instr::Instr;
 use crate::kernel::{Kernel, Stmt};
 use crate::types::VReg;
@@ -48,8 +46,9 @@ struct UnitState {
     /// Whether the previous statement continued a load unit.
     open: bool,
     /// Destinations defined inside the open unit; a following load that
-    /// reads one of these is *dependent* and starts a new unit.
-    unit_defs: HashSet<VReg>,
+    /// reads one of these is *dependent* and starts a new unit. Units
+    /// are a handful of loads, so a scan beats hashing.
+    unit_defs: Vec<VReg>,
 }
 
 impl UnitState {
@@ -92,7 +91,7 @@ fn walk(stmts: &[Stmt], counts: &mut DynCounts, st: &mut UnitState, rules: Block
                         counts.blocking_units += 1;
                     }
                     if let Some(d) = i.dst {
-                        st.unit_defs.insert(d);
+                        st.unit_defs.push(d);
                     }
                 } else {
                     st.close();

@@ -15,6 +15,7 @@
 //!   ([`RESERVED_REGS`]) for the parameter/thread-id conventions real
 //!   kernels always pay.
 
+use crate::instr::MAX_SRCS;
 use crate::kernel::{Kernel, Stmt};
 use crate::types::VReg;
 
@@ -32,23 +33,40 @@ pub struct PressureReport {
     pub regs_per_thread: u32,
 }
 
-/// One def/use event in the flattened instruction stream.
+/// One def/use event in the flattened instruction stream, its reads
+/// held inline: the stream expands every loop twice, so it is several
+/// times longer than the kernel.
+#[derive(Clone, Copy)]
 struct Event {
     def: Option<VReg>,
-    uses: Vec<VReg>,
+    reads: [VReg; MAX_SRCS],
+    num_reads: u8,
+}
+
+impl Event {
+    fn new(def: Option<VReg>, uses: impl IntoIterator<Item = VReg>) -> Self {
+        let mut e = Event { def, reads: [VReg(0); MAX_SRCS], num_reads: 0 };
+        for r in uses {
+            e.reads[usize::from(e.num_reads)] = r;
+            e.num_reads += 1;
+        }
+        e
+    }
+
+    fn uses(&self) -> &[VReg] {
+        &self.reads[..usize::from(self.num_reads)]
+    }
 }
 
 fn flatten(stmts: &[Stmt], events: &mut Vec<Event>) {
     for s in stmts {
         match s {
-            Stmt::Op(i) => {
-                events.push(Event { def: i.dst, uses: i.uses().collect() });
-            }
+            Stmt::Op(i) => events.push(Event::new(i.dst, i.uses())),
             Stmt::Sync => {}
             Stmt::Loop(l) => {
                 // Counter is defined at loop entry...
                 if let Some(c) = l.counter {
-                    events.push(Event { def: Some(c), uses: vec![] });
+                    events.push(Event::new(Some(c), None));
                 }
                 // ...and the body runs (conceptually) many times; two
                 // copies expose every loop-carried range.
@@ -58,7 +76,7 @@ fn flatten(stmts: &[Stmt], events: &mut Vec<Event>) {
                     if let Some(c) = l.counter {
                         // The trip increment both reads and writes the
                         // counter, keeping it live across the back edge.
-                        events.push(Event { def: Some(c), uses: vec![c] });
+                        events.push(Event::new(Some(c), Some(c)));
                     }
                 }
             }
@@ -105,8 +123,8 @@ pub fn live_ranges(kernel: &Kernel) -> LiveRanges {
     let mut open: Vec<Option<Open>> = vec![None; n];
     let mut ranges: Vec<LiveRange> = Vec::new();
     for (idx, e) in events.iter().enumerate() {
-        let is_accum = e.def.is_some_and(|d| e.uses.contains(&d));
-        for &u in &e.uses {
+        let is_accum = e.def.is_some_and(|d| e.uses().contains(&d));
+        for &u in e.uses() {
             let slot = &mut open[u.index()];
             match slot {
                 Some(o) => o.last = idx,

@@ -2,6 +2,7 @@
 
 use gpu_arch::MemorySpace;
 use std::fmt;
+use std::ops::{Deref, DerefMut};
 
 use crate::types::{Operand, VReg};
 
@@ -229,15 +230,87 @@ impl Op {
     }
 }
 
+/// Most source operands any [`Op`] takes.
+pub const MAX_SRCS: usize = 3;
+
+/// An instruction's source operands, stored inline.
+///
+/// Every instruction of every generated kernel owns one of these, and
+/// the pass pipeline copies whole loop bodies per unrolled copy, so the
+/// operands live in a fixed array instead of a heap allocation. The
+/// value behaves as an `[Operand]` slice of the op's arity: the length
+/// is fixed at construction, and [`DerefMut`] rewrites operands in
+/// place without being able to change it. Unused slots always hold the
+/// same filler, so derived equality compares only live operands.
+#[derive(Clone, Copy, PartialEq)]
+pub struct Srcs {
+    slots: [Operand; MAX_SRCS],
+    len: u8,
+}
+
+impl Srcs {
+    const FILLER: Operand = Operand::ImmI32(0);
+
+    /// Copy `ops` into inline storage.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ops` holds more than [`MAX_SRCS`] operands.
+    pub(crate) fn from_slice(ops: &[Operand]) -> Self {
+        assert!(ops.len() <= MAX_SRCS, "at most {MAX_SRCS} sources, got {}", ops.len());
+        let mut slots = [Self::FILLER; MAX_SRCS];
+        slots[..ops.len()].copy_from_slice(ops);
+        Self { slots, len: ops.len() as u8 }
+    }
+}
+
+impl Deref for Srcs {
+    type Target = [Operand];
+
+    fn deref(&self) -> &[Operand] {
+        &self.slots[..usize::from(self.len)]
+    }
+}
+
+impl DerefMut for Srcs {
+    fn deref_mut(&mut self) -> &mut [Operand] {
+        &mut self.slots[..usize::from(self.len)]
+    }
+}
+
+impl<'a> IntoIterator for &'a Srcs {
+    type Item = &'a Operand;
+    type IntoIter = std::slice::Iter<'a, Operand>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl<'a> IntoIterator for &'a mut Srcs {
+    type Item = &'a mut Operand;
+    type IntoIter = std::slice::IterMut<'a, Operand>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter_mut()
+    }
+}
+
+impl fmt::Debug for Srcs {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// One IR instruction.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Instr {
     /// Operation.
     pub op: Op,
     /// Destination register; `None` for stores.
     pub dst: Option<VReg>,
     /// Source operands; length must equal `op.arity()`.
-    pub srcs: Vec<Operand>,
+    pub srcs: Srcs,
     /// Immediate address offset, used by `Ld`/`St` (`[reg + offset]`
     /// addressing — the form unrolling folds strided accesses into).
     pub offset: i32,
@@ -265,10 +338,11 @@ impl Instr {
     /// Panics if `srcs.len() != op.arity()` or if a store carries a
     /// destination / a non-store lacks one. Malformed IR is a programming
     /// error in a generator, not a runtime condition.
-    pub fn new(op: Op, dst: Option<VReg>, srcs: Vec<Operand>) -> Self {
+    pub fn new(op: Op, dst: Option<VReg>, srcs: impl AsRef<[Operand]>) -> Self {
+        let srcs = srcs.as_ref();
         assert_eq!(srcs.len(), op.arity(), "{op:?} expects {} sources", op.arity());
         assert_eq!(dst.is_some(), op.has_dst(), "{op:?} dst mismatch");
-        Self { op, dst, srcs, offset: 0, coalesced: true, replay_ways: 1 }
+        Self { op, dst, srcs: Srcs::from_slice(srcs), offset: 0, coalesced: true, replay_ways: 1 }
     }
 
     /// Builder-style setter for the memory offset.
@@ -361,6 +435,62 @@ mod tests {
             Some(VReg(0)),
             vec![VReg(1).into(), VReg(2).into()],
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "expects 3 sources")]
+    fn wrong_arity_panics_for_array_sources() {
+        let _ = Instr::new(Op::FMad, Some(VReg(0)), [VReg(1).into(), VReg(2).into()]);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 3 sources")]
+    fn srcs_reject_more_than_max_operands() {
+        let _ = Srcs::from_slice(&[Operand::ImmI32(0); MAX_SRCS + 1]);
+    }
+
+    #[test]
+    fn srcs_debug_matches_vec_form() {
+        let ops = vec![Operand::Reg(VReg(1)), Operand::ImmI32(2)];
+        let i = Instr::new(Op::IAdd, Some(VReg(0)), [VReg(1).into(), 2i32.into()]);
+        assert_eq!(format!("{:?}", i.srcs), format!("{ops:?}"));
+        assert_eq!(format!("{:#?}", i.srcs), format!("{ops:#?}"));
+        assert_eq!(
+            format!("{i:?}"),
+            "Instr { op: IAdd, dst: Some(VReg(0)), srcs: [Reg(VReg(1)), ImmI32(2)], \
+             offset: 0, coalesced: true, replay_ways: 1 }"
+        );
+        let empty = Srcs::from_slice(&[]);
+        assert_eq!(format!("{empty:?}"), "[]");
+    }
+
+    #[test]
+    fn srcs_equality_ignores_history() {
+        // Rewritten in place from different operands, or built fresh:
+        // equal live operands compare equal.
+        let mut rewritten =
+            Instr::new(Op::IAdd, Some(VReg(0)), [VReg(5).into(), Operand::ImmF32(1.5)]);
+        rewritten.srcs[0] = VReg(1).into();
+        rewritten.srcs[1] = Operand::ImmI32(2);
+        let fresh = Instr::new(Op::IAdd, Some(VReg(0)), vec![VReg(1).into(), 2i32.into()]);
+        assert_eq!(rewritten, fresh);
+        assert_eq!(Srcs::from_slice(&fresh.srcs), fresh.srcs);
+        let mut other = fresh;
+        other.srcs[1] = Operand::ImmI32(3);
+        assert_ne!(other, fresh);
+    }
+
+    #[test]
+    fn srcs_rewrites_keep_the_length() {
+        let mut i = Instr::new(Op::Selp, Some(VReg(0)), [1i32.into(), 2i32.into(), 3i32.into()]);
+        for src in &mut i.srcs {
+            *src = Operand::Reg(VReg(9));
+        }
+        i.srcs.reverse();
+        let view: &mut [Operand] = &mut i.srcs;
+        view[2] = Operand::Param(0);
+        assert_eq!(i.srcs.len(), Op::Selp.arity());
+        assert_eq!(&i.srcs[..], &[VReg(9).into(), VReg(9).into(), Operand::Param(0)]);
     }
 
     #[test]

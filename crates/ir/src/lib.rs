@@ -62,7 +62,7 @@ pub mod types;
 pub mod verify;
 
 pub use build::KernelBuilder;
-pub use instr::{Instr, Op};
+pub use instr::{Instr, Op, Srcs, MAX_SRCS};
 pub use kernel::{Dim, Kernel, Launch, Loop, Stmt};
 pub use types::{Operand, Special, VReg};
 

@@ -13,7 +13,7 @@ use crate::kernel::{Kernel, Stmt};
 use crate::types::VReg;
 
 /// One element of a linearized kernel.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LinOp {
     /// An ordinary instruction.
     Instr(Instr),
@@ -53,7 +53,7 @@ pub struct LinearProgram {
 fn lower(stmts: &[Stmt], code: &mut Vec<LinOp>) {
     for s in stmts {
         match s {
-            Stmt::Op(i) => code.push(LinOp::Instr(i.clone())),
+            Stmt::Op(i) => code.push(LinOp::Instr(*i)),
             Stmt::Sync => code.push(LinOp::Sync),
             Stmt::Loop(l) => {
                 let start = code.len();

@@ -18,10 +18,10 @@
 //! 3. **dce** — instructions without side effects whose destination is
 //!    never read afterwards are deleted.
 
-use std::collections::{HashMap, HashSet};
-
 use gpu_ir::types::{Operand, VReg};
 use gpu_ir::{Instr, Kernel, Op, Stmt};
+
+use crate::RegTable;
 
 /// Outcome of one [`fold_constants`] run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -102,15 +102,19 @@ fn eval(i: &Instr) -> Option<Operand> {
 /// Fold and propagate within one statement list. `bindings` maps
 /// registers to known immediates; loop bodies start with bindings for
 /// values that are invariant across the loop (not redefined inside).
-fn fold_walk(stmts: &mut [Stmt], bindings: &mut HashMap<VReg, Operand>, report: &mut FoldReport) {
+fn fold_walk(
+    stmts: &mut [Stmt],
+    bindings: &mut RegTable<Option<Operand>>,
+    report: &mut FoldReport,
+) {
     for s in stmts.iter_mut() {
         match s {
             Stmt::Op(i) => {
                 // Propagate known immediates into operands.
                 for src in &mut i.srcs {
                     if let Some(r) = src.reg() {
-                        if let Some(imm) = bindings.get(&r) {
-                            *src = *imm;
+                        if let Some(imm) = bindings.get(r) {
+                            *src = imm;
                             report.propagated += 1;
                         }
                     }
@@ -119,64 +123,51 @@ fn fold_walk(stmts: &mut [Stmt], bindings: &mut HashMap<VReg, Operand>, report: 
                 if i.op != Op::Mov {
                     if let Some(value) = eval(i) {
                         let dst = i.dst.expect("pure ops have destinations");
-                        *i = Instr::new(Op::Mov, Some(dst), vec![value]);
+                        *i = Instr::new(Op::Mov, Some(dst), [value]);
                         report.folded += 1;
                     }
                 }
                 // Update bindings.
                 if let Some(d) = i.dst {
-                    if i.op == Op::Mov && i.srcs[0].is_imm() {
-                        bindings.insert(d, i.srcs[0]);
-                    } else {
-                        bindings.remove(&d);
-                    }
+                    let known = (i.op == Op::Mov && i.srcs[0].is_imm()).then_some(i.srcs[0]);
+                    *bindings.get_mut(d) = known;
                 }
             }
             Stmt::Sync => {}
             Stmt::Loop(l) => {
                 // Bindings survive into the loop only for registers the
-                // body never redefines.
-                let mut defs = HashSet::new();
+                // body never redefines; after the loop, anything the body
+                // defines is unknown.
+                let mut defs = Vec::new();
                 collect_defs(&l.body, &mut defs);
-                if let Some(c) = l.counter {
-                    defs.insert(c);
+                defs.extend(l.counter);
+                for &d in &defs {
+                    *bindings.get_mut(d) = None;
                 }
-                let mut inner: HashMap<VReg, Operand> = bindings
-                    .iter()
-                    .filter(|(r, _)| !defs.contains(*r))
-                    .map(|(r, v)| (*r, *v))
-                    .collect();
+                let mut inner = bindings.clone();
                 fold_walk(&mut l.body, &mut inner, report);
-                // After the loop, anything the body defines is unknown.
-                bindings.retain(|r, _| !defs.contains(r));
             }
         }
     }
 }
 
-fn collect_defs(stmts: &[Stmt], out: &mut HashSet<VReg>) {
+fn collect_defs(stmts: &[Stmt], out: &mut Vec<VReg>) {
     for s in stmts {
         match s {
-            Stmt::Op(i) => {
-                if let Some(d) = i.dst {
-                    out.insert(d);
-                }
-            }
+            Stmt::Op(i) => out.extend(i.dst),
             Stmt::Sync => {}
             Stmt::Loop(l) => {
-                if let Some(c) = l.counter {
-                    out.insert(c);
-                }
+                out.extend(l.counter);
                 collect_defs(&l.body, out);
             }
         }
     }
 }
 
-fn collect_uses(stmts: &[Stmt], out: &mut HashSet<VReg>) {
+fn collect_uses(stmts: &[Stmt], out: &mut RegTable<bool>) {
     for s in stmts {
         match s {
-            Stmt::Op(i) => out.extend(i.uses()),
+            Stmt::Op(i) => i.uses().for_each(|r| *out.get_mut(r) = true),
             Stmt::Sync => {}
             Stmt::Loop(l) => collect_uses(&l.body, out),
         }
@@ -187,15 +178,15 @@ fn collect_uses(stmts: &[Stmt], out: &mut HashSet<VReg>) {
 fn dce(kernel: &mut Kernel) -> u32 {
     // Global "used anywhere" approximation — sound because a register
     // read anywhere might be reached by any def under loop iteration.
-    let mut used = HashSet::new();
+    let mut used = RegTable::new(kernel.num_vregs);
     collect_uses(&kernel.body, &mut used);
 
-    fn sweep(stmts: &mut Vec<Stmt>, used: &HashSet<VReg>, removed: &mut u32) {
+    fn sweep(stmts: &mut Vec<Stmt>, used: &RegTable<bool>, removed: &mut u32) {
         stmts.retain_mut(|s| match s {
             Stmt::Op(i) => {
                 let side_effect = matches!(i.op, Op::St(_)) || matches!(i.op, Op::Ld(_));
                 match i.dst {
-                    Some(d) if !side_effect && !used.contains(&d) => {
+                    Some(d) if !side_effect && !used.get(d) => {
                         *removed += 1;
                         false
                     }
@@ -222,7 +213,7 @@ pub fn fold_constants(kernel: &mut Kernel) -> FoldReport {
     let mut total = FoldReport::default();
     loop {
         let mut round = FoldReport::default();
-        let mut bindings = HashMap::new();
+        let mut bindings = RegTable::new(kernel.num_vregs);
         fold_walk(&mut kernel.body, &mut bindings, &mut round);
         round.eliminated = dce(kernel);
         let progress = round.any();

@@ -8,10 +8,10 @@
 //! PTX output: "the group of memory operations only need the single base
 //! address calculation and use their constant offsets".
 
-use std::collections::{BTreeMap, HashMap, HashSet};
-
 use gpu_ir::types::{Operand, VReg};
 use gpu_ir::{Instr, Kernel, Op, Stmt};
+
+use crate::RegTable;
 
 /// Does this instruction have the accumulate shape `IAdd r, r, imm`?
 fn accumulate_of(i: &Instr) -> Option<(VReg, i32)> {
@@ -35,127 +35,151 @@ fn only_address_use(i: &Instr, reg: VReg) -> bool {
     addr_is_reg && !other_uses && i.dst != Some(reg)
 }
 
-/// Registers eligible for folding within one body: every write is an
-/// accumulate and every other appearance is a memory-address use at the
-/// top level of this body.
-fn eligible_regs(body: &[Stmt]) -> HashSet<VReg> {
-    let mut candidates: HashMap<VReg, bool> = HashMap::new(); // reg -> still ok
-    let mut seen_accum: HashSet<VReg> = HashSet::new();
+// Per-register folding state within one body.
+/// Not yet seen in an accumulate or a disqualifying role.
+const UNSEEN: u8 = 0;
+/// Accumulated, and every other appearance so far is an address use.
+const FOLDABLE: u8 = 1;
+/// Touched in a role folding cannot rewrite.
+const BLOCKED: u8 = 2;
 
-    // Any register mentioned inside a nested loop or in a non-foldable
-    // role is disqualified.
-    fn mentions(stmts: &[Stmt], out: &mut HashSet<VReg>) {
-        for s in stmts {
-            match s {
-                Stmt::Op(i) => {
-                    if let Some(d) = i.dst {
-                        out.insert(d);
-                    }
-                    out.extend(i.uses());
+/// Per-body tables, allocated once per kernel and reused across bodies.
+struct Tables {
+    /// `UNSEEN`/`FOLDABLE`/`BLOCKED` for each register.
+    state: RegTable<u8>,
+    /// Running stride of each eligible register at the current
+    /// statement; zero outside the body being folded.
+    delta: RegTable<i64>,
+    /// The body's eligible registers, in ascending order.
+    touched: Vec<VReg>,
+}
+
+impl Tables {
+    fn block(&mut self, r: VReg) {
+        *self.state.get_mut(r) = BLOCKED;
+    }
+
+    fn eligible(&self, r: VReg) -> bool {
+        self.state.get(r) == FOLDABLE
+    }
+}
+
+/// Any register mentioned inside a nested loop is disqualified.
+fn block_mentions(stmts: &[Stmt], t: &mut Tables) {
+    for s in stmts {
+        match s {
+            Stmt::Op(i) => {
+                if let Some(d) = i.dst {
+                    t.block(d);
                 }
-                Stmt::Sync => {}
-                Stmt::Loop(l) => {
-                    if let Some(c) = l.counter {
-                        out.insert(c);
-                    }
-                    mentions(&l.body, out);
+                for r in i.uses() {
+                    t.block(r);
                 }
+            }
+            Stmt::Sync => {}
+            Stmt::Loop(l) => {
+                if let Some(c) = l.counter {
+                    t.block(c);
+                }
+                block_mentions(&l.body, t);
             }
         }
     }
+}
 
-    let mut nested: HashSet<VReg> = HashSet::new();
+/// Mark the registers eligible for folding within one body: every write
+/// is an accumulate and every other appearance is a memory-address use
+/// at the top level of this body. Collects them, sorted, in `touched`
+/// and returns whether there are any.
+fn mark_eligible(body: &[Stmt], t: &mut Tables) -> bool {
+    t.state.clear();
+    t.touched.clear();
     for s in body {
         match s {
             Stmt::Op(i) => {
                 if let Some((r, _)) = accumulate_of(i) {
-                    seen_accum.insert(r);
-                    candidates.entry(r).or_insert(true);
+                    let state = t.state.get_mut(r);
+                    if *state == UNSEEN {
+                        *state = FOLDABLE;
+                        t.touched.push(r);
+                    }
                     continue;
                 }
                 // Non-accumulate statement: every register it touches in
                 // a non-address role is disqualified.
                 for r in i.uses() {
                     if !only_address_use(i, r) {
-                        candidates.insert(r, false);
+                        t.block(r);
                     }
                 }
                 if let Some(d) = i.dst {
-                    candidates.insert(d, false);
+                    t.block(d);
                 }
             }
             Stmt::Sync => {}
             Stmt::Loop(l) => {
                 if let Some(c) = l.counter {
-                    nested.insert(c);
+                    t.block(c);
                 }
-                mentions(&l.body, &mut nested);
+                block_mentions(&l.body, t);
             }
         }
     }
-
-    seen_accum
-        .into_iter()
-        .filter(|r| candidates.get(r).copied().unwrap_or(false) && !nested.contains(r))
-        .collect()
+    let Tables { state, touched, .. } = t;
+    touched.retain(|&r| state.get(r) == FOLDABLE);
+    touched.sort_unstable();
+    !touched.is_empty()
 }
 
 /// Fold one body in place; returns the number of deleted instructions.
-fn fold_body(body: &mut Vec<Stmt>) -> u32 {
+fn fold_body(body: &mut Vec<Stmt>, t: &mut Tables) -> u32 {
     // Recurse into nested loops first.
     let mut removed = 0;
     for s in body.iter_mut() {
         if let Stmt::Loop(l) = s {
-            removed += fold_body(&mut l.body);
+            removed += fold_body(&mut l.body, t);
         }
     }
 
-    let eligible = eligible_regs(body);
-    if eligible.is_empty() {
+    if !mark_eligible(body, t) {
         return removed;
     }
 
-    // Ordered by register so the materialised accumulates come out in a
-    // stable order — HashMap iteration order varies per process, and the
-    // resulting instruction shuffle cascades into different spill choices
-    // downstream.
-    let mut delta: BTreeMap<VReg, i64> = BTreeMap::new();
-    let mut out: Vec<Stmt> = Vec::with_capacity(body.len());
-    for s in body.drain(..) {
-        match s {
-            Stmt::Op(i) => {
-                if let Some((r, k)) = accumulate_of(&i) {
-                    if eligible.contains(&r) {
-                        *delta.entry(r).or_insert(0) += i64::from(k);
-                        removed += 1;
-                        continue;
-                    }
-                }
-                let mut i = i;
-                if i.op.mem_space().is_some() {
-                    if let Some(r) = i.srcs[0].reg() {
-                        if let Some(d) = delta.get(&r) {
-                            i.offset = (i64::from(i.offset) + d) as i32;
-                        }
-                    }
-                }
-                out.push(Stmt::Op(i));
+    // Drop eligible accumulates, folding the running stride into the
+    // offsets of the memory ops that follow them.
+    body.retain_mut(|s| {
+        let Stmt::Op(i) = s else { return true };
+        if let Some((r, k)) = accumulate_of(i) {
+            if t.eligible(r) {
+                *t.delta.get_mut(r) += i64::from(k);
+                removed += 1;
+                return false;
             }
-            other => out.push(other),
         }
-    }
-    // Materialise each register's total stride once, at body end.
-    for (r, d) in delta {
+        if i.op.mem_space().is_some() {
+            if let Some(r) = i.srcs[0].reg() {
+                if t.eligible(r) {
+                    i.offset = (i64::from(i.offset) + t.delta.get(r)) as i32;
+                }
+            }
+        }
+        true
+    });
+    // Materialise each register's total stride once, at body end, in
+    // register order: the order of these adds cascades into different
+    // spill choices downstream, so it must not depend on where in the
+    // body each register first accumulated.
+    for r in t.touched.drain(..) {
+        let d = std::mem::take(t.delta.get_mut(r));
         if d != 0 {
-            out.push(Stmt::Op(Instr::new(
+            body.push(Stmt::Op(Instr::new(
                 Op::IAdd,
                 Some(r),
-                vec![r.into(), Operand::ImmI32(d as i32)],
+                [r.into(), Operand::ImmI32(d as i32)],
             )));
             removed -= 1;
         }
     }
-    *body = out;
     removed
 }
 
@@ -164,10 +188,15 @@ fn fold_body(body: &mut Vec<Stmt>) -> u32 {
 /// Returns the net number of instructions removed. Statements outside
 /// loops are untouched (there is nothing repeated to fold).
 pub fn fold_strided_addresses(kernel: &mut Kernel) -> u32 {
+    let mut tables = Tables {
+        state: RegTable::new(kernel.num_vregs),
+        delta: RegTable::new(kernel.num_vregs),
+        touched: Vec::new(),
+    };
     let mut removed = 0;
     for s in kernel.body.iter_mut() {
         if let Stmt::Loop(l) = s {
-            removed += fold_body(&mut l.body);
+            removed += fold_body(&mut l.body, &mut tables);
         }
     }
     removed
@@ -341,5 +370,43 @@ mod tests {
         let removed = fold_strided_addresses(&mut k);
         assert_eq!(removed, 1); // two accumulates -> one
         assert_eq!(run(&k), baseline);
+    }
+
+    #[test]
+    fn materialised_accumulates_come_out_in_register_order() {
+        // The higher register `q` accumulates first in the body; the
+        // folded adds still come out as `p` then `q`.
+        let mut b = KernelBuilder::new("order");
+        let src = b.param(0);
+        let p = b.mov(src);
+        let q = b.iadd(src, 64i32);
+        let acc = b.mov(0.0f32);
+        b.repeat(4, |b| {
+            let x = b.ld_global(q, 0);
+            b.fmad_acc(x, 1.0f32, acc);
+            b.iadd_acc(q, 3i32);
+            let y = b.ld_global(p, 0);
+            b.fmad_acc(y, 1.0f32, acc);
+            b.iadd_acc(q, 1i32);
+            b.iadd_acc(p, 2i32);
+        });
+        b.st_global(src, 0, acc);
+        let mut k = b.finish();
+        assert!(p < q);
+        let id = find_loops(&k).remove(0);
+        unroll(&mut k, &id, 2).unwrap();
+        fold_strided_addresses(&mut k);
+
+        let l = crate::loops::get_loop(&k, &id).unwrap();
+        let adds: Vec<(VReg, Operand)> = l
+            .body
+            .iter()
+            .filter_map(|s| s.as_instr())
+            .filter(|i| i.op == Op::IAdd)
+            .map(|i| (i.dst.unwrap(), i.srcs[1]))
+            .collect();
+        assert_eq!(adds, vec![(p, Operand::ImmI32(4)), (q, Operand::ImmI32(8))]);
+        let tail: Vec<_> = l.body[l.body.len() - 2..].iter().map(|s| s.as_instr()).collect();
+        assert!(tail.iter().all(|i| i.is_some_and(|i| i.op == Op::IAdd)), "{tail:?}");
     }
 }

@@ -58,6 +58,41 @@ pub(crate) fn fresh_reg(kernel: &mut gpu_ir::Kernel) -> gpu_ir::types::VReg {
     r
 }
 
+/// Per-register pass state in a dense table indexed by
+/// [`VReg::index`](gpu_ir::types::VReg::index), sized by the kernel's
+/// register count: passes touch it once or more per op, so it must not
+/// hash. Entries read as `T::default()` until written; a write past the
+/// end grows the table.
+#[derive(Clone)]
+pub(crate) struct RegTable<T>(Vec<T>);
+
+impl<T: Copy + Default> RegTable<T> {
+    pub(crate) fn new(num_vregs: u32) -> Self {
+        Self(vec![T::default(); num_vregs as usize])
+    }
+
+    pub(crate) fn get(&self, r: gpu_ir::types::VReg) -> T {
+        self.0.get(r.index()).copied().unwrap_or_default()
+    }
+
+    pub(crate) fn get_mut(&mut self, r: gpu_ir::types::VReg) -> &mut T {
+        if r.index() >= self.0.len() {
+            self.0.resize(r.index() + 1, T::default());
+        }
+        &mut self.0[r.index()]
+    }
+
+    /// Reset every entry to `T::default()`, keeping the allocation.
+    pub(crate) fn clear(&mut self) {
+        self.0.fill(T::default());
+    }
+
+    /// Every entry with its register, in register order.
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (gpu_ir::types::VReg, T)> + '_ {
+        self.0.iter().enumerate().map(|(i, &v)| (gpu_ir::types::VReg(i as u32), v))
+    }
+}
+
 pub(crate) mod schedule_support {
     /// Max-live figure used by the scheduler's keep-if-better guard.
     pub fn pressure_of(kernel: &gpu_ir::Kernel) -> u32 {

@@ -11,12 +11,10 @@
 //! by live-range length, the heuristic a programmer applying this
 //! optimization by hand would follow.
 
-use std::collections::HashMap;
-
 use gpu_ir::types::{Operand, VReg};
-use gpu_ir::{Instr, Kernel, Op, Stmt};
+use gpu_ir::{Instr, Kernel, Op, Stmt, MAX_SRCS};
 
-use crate::PassError;
+use crate::{PassError, RegTable};
 
 fn collect_counters(stmts: &[Stmt], out: &mut Vec<VReg>) {
     for s in stmts {
@@ -29,36 +27,43 @@ fn collect_counters(stmts: &[Stmt], out: &mut Vec<VReg>) {
     }
 }
 
-fn rewrite(stmts: Vec<Stmt>, slots: &HashMap<VReg, i32>, next_reg: &mut u32) -> Vec<Stmt> {
+/// Local-memory slot of each spilled register.
+type Slots = RegTable<Option<i32>>;
+
+fn rewrite(stmts: Vec<Stmt>, slots: &Slots, next_reg: &mut u32) -> Vec<Stmt> {
     let mut out = Vec::with_capacity(stmts.len() * 2);
     for s in stmts {
         match s {
             Stmt::Op(mut i) => {
-                // Reload each spilled register this instruction reads.
-                let mut reloaded: HashMap<VReg, VReg> = HashMap::new();
+                // Reload each spilled register this instruction reads,
+                // once even when it appears in several operand slots.
+                let mut reloaded = [(VReg(0), VReg(0)); MAX_SRCS];
+                let mut n_reloaded = 0;
                 for src in &mut i.srcs {
-                    if let Some(r) = src.reg() {
-                        if let Some(&slot) = slots.get(&r) {
-                            let t = *reloaded.entry(r).or_insert_with(|| {
-                                let t = VReg(*next_reg);
-                                *next_reg += 1;
-                                out.push(Stmt::Op(Instr::new(
-                                    Op::Ld(gpu_arch::MemorySpace::Local),
-                                    Some(t),
-                                    vec![Operand::ImmI32(slot)],
-                                )));
-                                t
-                            });
-                            *src = Operand::Reg(t);
+                    let Some(r) = src.reg() else { continue };
+                    let Some(slot) = slots.get(r) else { continue };
+                    let t = match reloaded[..n_reloaded].iter().find(|(from, _)| *from == r) {
+                        Some(&(_, t)) => t,
+                        None => {
+                            let t = VReg(*next_reg);
+                            *next_reg += 1;
+                            out.push(Stmt::Op(Instr::new(
+                                Op::Ld(gpu_arch::MemorySpace::Local),
+                                Some(t),
+                                [Operand::ImmI32(slot)],
+                            )));
+                            reloaded[n_reloaded] = (r, t);
+                            n_reloaded += 1;
+                            t
                         }
-                    }
+                    };
+                    *src = Operand::Reg(t);
                 }
                 // A definition of a spilled register is renamed to a
                 // fresh register and written straight through to local
                 // memory, so the original long live range disappears
                 // entirely — only short def→store segments remain.
-                let spilled_def = i.dst.and_then(|d| slots.get(&d).map(|&slot| (d, slot)));
-                if let Some((_, slot)) = spilled_def {
+                if let Some(slot) = i.dst.and_then(|d| slots.get(d)) {
                     let renamed = VReg(*next_reg);
                     *next_reg += 1;
                     i.dst = Some(renamed);
@@ -66,7 +71,7 @@ fn rewrite(stmts: Vec<Stmt>, slots: &HashMap<VReg, i32>, next_reg: &mut u32) -> 
                     out.push(Stmt::Op(Instr::new(
                         Op::St(gpu_arch::MemorySpace::Local),
                         None,
-                        vec![Operand::ImmI32(slot), Operand::Reg(renamed)],
+                        [Operand::ImmI32(slot), Operand::Reg(renamed)],
                     )));
                 } else {
                     out.push(Stmt::Op(i));
@@ -100,26 +105,34 @@ pub fn spill_registers(kernel: &mut Kernel, regs: &[VReg]) -> Result<u32, PassEr
     if regs.iter().any(|r| counters.contains(r)) {
         return Err(PassError::CounterSpill);
     }
-    let slots: HashMap<VReg, i32> = regs.iter().enumerate().map(|(k, r)| (*r, k as i32)).collect();
+    // A register listed twice keeps its last slot, and counts once.
+    let mut slots = Slots::new(kernel.num_vregs);
+    let mut words = 0;
+    for (k, &r) in regs.iter().enumerate() {
+        words += u32::from(slots.get_mut(r).replace(k as i32).is_none());
+    }
     let mut next = kernel.num_vregs;
     kernel.body = rewrite(std::mem::take(&mut kernel.body), &slots, &mut next);
     kernel.num_vregs = next;
-    Ok(slots.len() as u32)
+    Ok(words)
 }
 
-/// Rank registers by flattened live-range length (longest first) and
-/// return up to `count` spill candidates. Loop counters are excluded.
+/// Rank registers by flattened live-range length (longest first, ties to
+/// the lower register) and return up to `count` spill candidates. Loop
+/// counters are excluded.
 pub fn spill_candidates(kernel: &Kernel, count: usize) -> Vec<VReg> {
+    /// First/last touch position of each register; `None` until the
+    /// register is touched.
+    type Touches = RegTable<Option<(usize, usize)>>;
     // Flatten in syntactic order, recording first/last touch positions.
-    fn walk(stmts: &[Stmt], pos: &mut usize, touch: &mut HashMap<VReg, (usize, usize)>) {
+    fn walk(stmts: &[Stmt], pos: &mut usize, touch: &mut Touches) {
         for s in stmts {
             match s {
                 Stmt::Op(i) => {
                     let p = *pos;
                     *pos += 1;
                     for r in i.uses().chain(i.dst) {
-                        let e = touch.entry(r).or_insert((p, p));
-                        e.1 = p;
+                        touch.get_mut(r).get_or_insert((p, p)).1 = p;
                     }
                 }
                 Stmt::Sync => *pos += 1,
@@ -127,7 +140,7 @@ pub fn spill_candidates(kernel: &Kernel, count: usize) -> Vec<VReg> {
             }
         }
     }
-    let mut touch = HashMap::new();
+    let mut touch = Touches::new(kernel.num_vregs);
     let mut pos = 0;
     walk(&kernel.body, &mut pos, &mut touch);
 
@@ -135,9 +148,9 @@ pub fn spill_candidates(kernel: &Kernel, count: usize) -> Vec<VReg> {
     collect_counters(&kernel.body, &mut counters);
 
     let mut ranked: Vec<(usize, VReg)> = touch
-        .into_iter()
-        .filter(|(r, _)| !counters.contains(r))
-        .map(|(r, (f, l))| (l - f, r))
+        .entries()
+        .filter_map(|(r, t)| t.map(|(f, l)| (l - f, r)))
+        .filter(|(_, r)| !counters.contains(r))
         .collect();
     ranked.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
     ranked.into_iter().take(count).map(|(_, r)| r).collect()
@@ -310,5 +323,28 @@ mod tests {
         let mut mem = DeviceMemory::new(1);
         run_kernel(&prog, &Launch::new(Dim::new_1d(1), Dim::new_1d(1)), &[0], &mut mem).unwrap();
         assert_eq!(mem.global[0], 9.0);
+    }
+
+    #[test]
+    fn equal_ranges_rank_the_lower_register_first() {
+        // %r5 is touched first, but %r2's range is just as long: the
+        // tie goes to the lower register, whatever the touch order.
+        let op = |dst: u32, src: Operand| {
+            Stmt::Op(Instr::new(Op::FAdd, Some(VReg(dst)), [src, Operand::ImmF32(1.0)]))
+        };
+        let k = Kernel {
+            name: "tie".into(),
+            body: vec![
+                op(5, Operand::ImmF32(0.0)), // %r5: 0..2
+                op(2, Operand::ImmF32(0.0)), // %r2: 1..3
+                op(8, VReg(5).into()),       // %r8: 2..2
+                op(7, VReg(2).into()),       // %r7: 3..3
+            ],
+            smem_bytes: 0,
+            num_params: 0,
+            num_vregs: 9,
+        };
+        assert_eq!(spill_candidates(&k, 1), vec![VReg(2)]);
+        assert_eq!(spill_candidates(&k, 4), vec![VReg(2), VReg(5), VReg(7), VReg(8)]);
     }
 }

@@ -217,7 +217,7 @@ pub mod timing {
             self.steps += 1;
             self.last_pick = idx;
             let issue = setup.issue;
-            let op = code[self.warps[idx].pc].clone();
+            let op = code[self.warps[idx].pc];
             match &op {
                 LinOp::Instr(i) => {
                     self.issue_free = t + issue;

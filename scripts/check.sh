@@ -23,6 +23,13 @@ echo "==> cargo test --workspace"
 # positional identity, frame bookkeeping).
 cargo test -q --workspace
 
+echo "==> cargo test (perfbench)"
+# The benchmark harness is its own package (an empty `[workspace]` with
+# path dependencies on the library crates), so the workspace steps above
+# never compile it: a public API change could otherwise break the
+# benchmark unnoticed.
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+
 echo "==> trace smoke (tune sad --trace-out/--metrics-out + validate)"
 # A full-space SAD search must export a JSONL trace whose every line
 # parses and a manifest that survives a serialize -> parse round trip;

@@ -130,3 +130,70 @@ proptest! {
         prop_assert_eq!(report.instructions_issued, counts.instrs);
     }
 }
+
+/// FNV-1a over a byte stream.
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// Fold one instantiated configuration into the running digest: the
+/// canonical kernel text, the register-pressure figure, and the
+/// issue-floor bound, so any change to what the generators and the pass
+/// pipeline emit — or to what the static analyses read out of it —
+/// moves the digest.
+fn fold_candidate(h: u64, c: &gpu_autotune::optspace::Candidate, spec: &MachineSpec) -> u64 {
+    let h = fnv1a(h, gpu_autotune::ir::text::to_text(&c.kernel).as_bytes());
+    let regs = gpu_autotune::ir::analysis::register_pressure(&c.kernel).regs_per_thread;
+    let h = fnv1a(h, &regs.to_le_bytes());
+    let floor = gpu_autotune::optspace::model::issue_floor_ms(c, spec);
+    fnv1a(h, &floor.to_bits().to_le_bytes())
+}
+
+/// Pipeline identity: every point of the four paper spaces plus a fixed
+/// stride sample of the fine matmul grid generate exactly the kernels,
+/// register counts and issue floors pinned here. Representation changes
+/// inside the IR and the passes must leave this digest untouched.
+#[test]
+fn pass_pipeline_output_is_pinned() {
+    use gpu_autotune::kernels::matmul::{MatMul, MatMulFine};
+    use gpu_autotune::kernels::{cp::Cp, mri_fhd::MriFhd, sad::Sad, App};
+
+    let spec = MachineSpec::geforce_8800_gtx();
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut configs = 0usize;
+    let apps: Vec<Box<dyn App>> = vec![
+        Box::new(MatMul::reduced_problem()),
+        Box::new(Cp::paper_problem()),
+        Box::new(Sad::paper_problem()),
+        Box::new(MriFhd::paper_problem()),
+    ];
+    for app in &apps {
+        for point in app.space().points() {
+            h = fold_candidate(h, &app.instantiate(&point), &spec);
+            configs += 1;
+        }
+    }
+
+    // A prime stride over the 102,400-point fine grid walks every axis
+    // out of phase, reaching remainder unrolls of both loops and spill.
+    let fine = MatMulFine::reduced_problem();
+    let space = fine.space();
+    let (mut inner_rem, mut outer_rem, mut spilled) = (false, false, false);
+    for rank in (0..space.grid_len()).step_by(1021) {
+        let point = space.point_at_grid_rank(rank).expect("rank inside the grid");
+        let cfg = MatMulFine::config_of(&point);
+        inner_rem |= cfg.unroll != 0 && !cfg.tile.is_multiple_of(cfg.unroll);
+        outer_rem |= !(fine.base.n / cfg.tile).is_multiple_of(cfg.ounroll);
+        spilled |= cfg.spill;
+        h = fold_candidate(h, &fine.instantiate(&point), &spec);
+        configs += 1;
+    }
+    assert!(inner_rem && outer_rem && spilled, "the fine sample must reach every pipeline shape");
+
+    assert_eq!(configs, 1087);
+    assert_eq!(h, 0x84f0_dd2a_f054_94e6, "pipeline output changed: digest {h:#018x}");
+}
