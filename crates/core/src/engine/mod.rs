@@ -308,7 +308,8 @@ pub struct EngineStats {
     /// once; failed and retried runs count each execution).
     pub unique_sims: usize,
     /// Timed candidates served from the memo cache / family forks
-    /// instead of a fresh simulation.
+    /// instead of a fresh simulation (including, in a branch-and-bound
+    /// search, programs an earlier batch already simulated).
     pub cache_hits: usize,
     /// Whether a budget limit cut the evaluation short.
     pub budget_truncated: bool,
@@ -382,6 +383,12 @@ pub struct EvalEngine {
     /// convergence recorder is; populated only from the sequential
     /// dedup loop, so its contents are deterministic at any `jobs`.
     decoded: Arc<Mutex<HashMap<u64, Arc<DecodedArena>>>>,
+    /// Search-scoped timing memo: exact key to successful report. Unset
+    /// (the memo cache is per call) except on the per-batch clones of
+    /// one branch-and-bound search, which share one fresh map so a
+    /// program simulated in one batch is a cache hit in every later
+    /// batch.
+    search_memo: Option<Arc<Mutex<HashMap<u64, TimingReport>>>>,
 }
 
 /// One deduplicated simulation input (the memo cache's value side).
@@ -475,6 +482,14 @@ impl EvalEngine {
     /// resumed search replays the original byte-identically.
     pub fn with_replay(mut self, results: Arc<HashMap<u64, TimingReport>>) -> Self {
         self.replay = Some(results);
+        self
+    }
+
+    /// This engine with a fresh search-scoped timing memo, shared by all
+    /// of its clones. A memo hit is served without dispatch, like a
+    /// store hit, but counts as a `cache_hits` entry.
+    pub(crate) fn with_search_memo(mut self) -> Self {
+        self.search_memo = Some(Arc::default());
         self
     }
 
@@ -803,18 +818,30 @@ impl EvalEngine {
             assignments.push((i, u, invocations));
         }
 
-        // Phase 1c: consult the persistent result store before anything
-        // is scheduled. A store-resolved unique never becomes a work
-        // unit — on a fully warm store the pool dispatches nothing.
-        // Replayed keys are exempt: a resume must account them exactly
-        // as the original run did (fresh simulations), or the resumed
-        // report would drift from the uninterrupted one.
+        // Phase 1c: consult the search memo, then the persistent result
+        // store, before anything is scheduled. A resolved unique never
+        // becomes a work unit — on a fully warm store the pool
+        // dispatches nothing. Replayed keys are exempt from the store: a
+        // resume must account them exactly as the original run did
+        // (fresh simulations), or the resumed report would drift from
+        // the uninterrupted one. The memo needs no exemption, because a
+        // resumed search fills it exactly as the original did.
         let mut outcomes_of: Vec<Option<Result<TimingReport, EvalError>>> =
             (0..uniques.len()).map(|_| None).collect();
-        let mut from_store: Vec<bool> = vec![false; uniques.len()];
+        let mut resolved: Vec<bool> = vec![false; uniques.len()];
+        if let Some(memo) = &self.search_memo {
+            let memo = memo.lock().expect("search memo poisoned");
+            for (u, uq) in uniques.iter().enumerate() {
+                if let Some(rep) = memo.get(&uq.exact) {
+                    self.emit(EventKind::Point, "memo.hit", vec![("unique", Json::from(u))]);
+                    outcomes_of[u] = Some(Ok(rep.clone()));
+                    resolved[u] = true;
+                }
+            }
+        }
         if let Some(store) = &self.store {
             for (u, uq) in uniques.iter().enumerate() {
-                if self.replay.as_ref().is_some_and(|r| r.contains_key(&uq.exact)) {
+                if resolved[u] || self.replay.as_ref().is_some_and(|r| r.contains_key(&uq.exact)) {
                     continue;
                 }
                 let read_started = Instant::now();
@@ -829,7 +856,7 @@ impl EvalEngine {
                     stats.store_hits += 1;
                     self.emit(EventKind::Point, "store.hit", vec![("unique", Json::from(u))]);
                     outcomes_of[u] = Some(Ok(rep));
-                    from_store[u] = true;
+                    resolved[u] = true;
                 }
             }
         }
@@ -843,7 +870,7 @@ impl EvalEngine {
         let mut group_of: HashMap<u64, usize> = HashMap::new();
         let mut groups: Vec<Vec<usize>> = Vec::new();
         for (u, uq) in uniques.iter().enumerate() {
-            if from_store[u] {
+            if resolved[u] {
                 continue;
             }
             let hash = uq.class.hash;
@@ -1024,7 +1051,7 @@ impl EvalEngine {
         if let Some(store) = &self.store {
             let write_started = Instant::now();
             for (u, uq) in uniques.iter().enumerate() {
-                if !from_store[u] {
+                if !resolved[u] {
                     if let Some(Ok(rep)) = &outcomes_of[u] {
                         store.put(uq.exact, rep);
                     }
@@ -1041,13 +1068,24 @@ impl EvalEngine {
             }
         }
 
+        // Remember every success for the rest of the search, under the
+        // same rule as the store.
+        if let Some(memo) = &self.search_memo {
+            let mut memo = memo.lock().expect("search memo poisoned");
+            for (uq, out) in uniques.iter().zip(&outcomes_of) {
+                if let Some(Ok(rep)) = out {
+                    memo.entry(uq.exact).or_insert_with(|| rep.clone());
+                }
+            }
+        }
+
         // Simulator-side accounting is per *unique* run, pre-scaling, so
         // it is independent of how many candidates share each entry.
-        // Store-served results are excluded: this run burned no fuel or
-        // cycles on them.
+        // Memo- and store-served results are excluded: this run burned
+        // no fuel or cycles on them.
         for (u, out) in outcomes_of.iter().enumerate() {
             let Some(Ok(rep)) = out else { continue };
-            if from_store[u] {
+            if resolved[u] {
                 continue;
             }
             stats.fuel_consumed += rep.steps;
@@ -1075,7 +1113,7 @@ impl EvalEngine {
                     let scaled = scale_by_invocations(rep.clone(), invocations);
                     if meter.accept(scaled.time_ms) {
                         stats.timed += 1;
-                        let fresh = !from_store[u] && fresh_counted.insert(u);
+                        let fresh = !resolved[u] && fresh_counted.insert(u);
                         self.convergence.observe(
                             stats.timed as u64,
                             fresh,
@@ -1125,8 +1163,9 @@ impl EvalEngine {
             }
         }
         // Every timed candidate was served by exactly one of: a fresh
-        // simulation, a store hit, or memo-cache sharing — the remainder
-        // after subtracting the first two is the cache-hit count.
+        // simulation, a store hit, or memo-cache sharing (within this
+        // call or from the search memo) — the remainder after
+        // subtracting the first two is the cache-hit count.
         stats.cache_hits += (stats.timed - timed_at_entry)
             .saturating_sub(stats.unique_sims - unique_at_entry)
             .saturating_sub(stats.store_hits - store_at_entry);

@@ -168,12 +168,16 @@ impl<F: Fn(&Point) -> f64> LowerBound for MinFloorBound<F> {
 /// corner keeping every bound axis at its bound value and every
 /// unbound axis at its conditioned cheap value, after
 /// [`Instantiator::legalize`] snaps the tuple to something the
-/// generator accepts. While axis 0 is *unbound* the subspace is the
+/// generator accepts, or to the canonical grid value that builds the
+/// identical candidate. While axis 0 is *unbound* the subspace is the
 /// disjoint union of its axis-0 slices, so its bound is the **min** of
 /// the slice corners — a single cross-slice corner is not sound, since
 /// no one axis-0 value yields a floor below every slice. Corners are
-/// memoized by full-grid rank, so a search instantiates a handful of
-/// probe points per subspace instead of any of its interior.
+/// memoized by full-grid rank after legalization, so a search
+/// instantiates a handful of probe points per subspace instead of any
+/// of its interior, and aliased corners that snap to one canonical
+/// point share one instantiation (with the same floor they would have
+/// had apart).
 ///
 /// Within a slice the corner is a lower bound on the slice's floor
 /// when the floor decomposes per axis (each axis's cheap setting stays
@@ -270,7 +274,8 @@ impl<'a> ProbeBound<'a> {
 
     /// Whether the grid tuple at `rank` was instantiated as a probe.
     /// Pruned-point accounting subtracts these: a probed corner was
-    /// *not* eliminated without instantiation.
+    /// *not* eliminated without instantiation. Only legalized ranks are
+    /// instantiated; a corner snapped onto another rank never was.
     pub fn was_instantiated(&self, rank: usize) -> bool {
         self.memo.borrow().contains_key(&rank)
     }

@@ -282,6 +282,12 @@ pub fn summarize(recs: &[Rec], top_k: usize) -> TraceSummary {
             ("point", "cache.hit") => s.cache_hits += 1,
             ("point", "cache.miss") => s.cache_misses += 1,
             ("point", "store.hit") => s.store_hits += 1,
+            // A unique an earlier batch of the same search simulated:
+            // its first candidate logged a miss, but nothing ran.
+            ("point", "memo.hit") => {
+                s.cache_hits += 1;
+                s.cache_misses = s.cache_misses.saturating_sub(1);
+            }
             ("point", "decode.done") => {
                 s.decodes += 1;
                 s.decode_ops += r.field_u64("ops").unwrap_or(0);

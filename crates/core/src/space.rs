@@ -998,7 +998,10 @@ pub trait Instantiator: Sync {
     /// factor that does not divide a trip count); an application whose
     /// generator rejects such tuples overrides this to snap the
     /// offending axes to the nearest buildable — and no more costly —
-    /// setting. The default accepts every assignment unchanged.
+    /// setting. An application may also snap an axis to the canonical
+    /// grid value that builds the identical candidate (apart from its
+    /// label and kernel name), so aliased corners share one probe
+    /// instantiation. The default accepts every assignment unchanged.
     fn legalize(&self, space: &Space, values: &mut [Value]) {
         let _ = (space, values);
     }

@@ -550,6 +550,13 @@ impl SearchStrategy for RandomSearch {
 /// which reassemble in deterministic order. Reports are therefore
 /// byte-identical at any `--jobs`.
 ///
+/// Work is done once per search: aliased probe corners share one
+/// instantiation through the bound's rank memo (after
+/// [`Instantiator::legalize`] snaps them), and the per-batch engine
+/// calls share a search-scoped timing memo, so a program an earlier
+/// batch simulated is a cache hit — no `max_sims`, fuel or dispatch —
+/// in every later batch.
+///
 /// A child's key is `max(parent key, child bound)`, which makes the
 /// popped-key sequence non-decreasing even if a bound implementation
 /// loses monotonicity to legalization; combined with a monotonically
@@ -622,6 +629,9 @@ impl BranchAndBound {
         );
         engine.convergence().reset();
         let bound = ProbeBound::new(space, inst, spec);
+        // Every batch clones this engine, so all of them share one
+        // timing memo that lives exactly as long as this search.
+        let search_engine = engine.clone().with_search_memo();
         let mut stats = engine.stats_seed();
         let mut quarantined: Vec<Quarantine> = Vec::new();
 
@@ -698,7 +708,7 @@ impl BranchAndBound {
 
                 // Budgets are enforced per engine call; hand each batch
                 // only what the whole search has left.
-                let mut batch_engine = engine.clone();
+                let mut batch_engine = search_engine.clone();
                 if let Some(cap) = engine.config.budget.max_sims {
                     batch_engine.config.budget.max_sims =
                         Some(cap.saturating_sub(stats.unique_sims));

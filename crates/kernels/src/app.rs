@@ -39,11 +39,14 @@ pub trait App: Sync {
     }
 
     /// Snap an arbitrary grid assignment to one [`App::instantiate`]
-    /// accepts (see [`Instantiator::legalize`]); bound probes evaluate
-    /// optimistic corners that may violate structural constraints. The
-    /// default accepts everything unchanged — apps whose generators
-    /// panic on such corners (e.g. SAD's `pos`-divides-trips rule)
-    /// override this.
+    /// accepts, or to the canonical grid value that builds the
+    /// identical candidate (see [`Instantiator::legalize`]); bound
+    /// probes evaluate optimistic corners that may violate structural
+    /// constraints, and aliased corners snapped to one canonical point
+    /// share one instantiation. The default accepts everything
+    /// unchanged — apps whose generators panic on such corners (e.g.
+    /// SAD's `pos`-divides-trips rule) or that have aliasing axes (the
+    /// fine matmul grid's unroll factors) override this.
     fn legalize(&self, space: &Space, values: &mut [Value]) {
         let _ = (space, values);
     }

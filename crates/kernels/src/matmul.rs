@@ -21,13 +21,13 @@ use gpu_ir::build::KernelBuilder;
 use gpu_ir::types::Special;
 use gpu_ir::{Dim, Kernel, Launch};
 use gpu_passes::{
-    find_loops, fold_strided_addresses, innermost_loops, prefetch_global_loads, spill_candidates,
-    spill_registers, unroll, unroll_with_remainder,
+    effective_unroll, find_loops, fold_strided_addresses, innermost_loops, prefetch_global_loads,
+    spill_candidates, spill_registers, unroll, unroll_with_remainder,
 };
 use gpu_sim::interp::{run_kernel_checked, DeviceMemory};
 use gpu_sim::SimError;
 use optspace::candidate::Candidate;
-use optspace::space::{Point, Space};
+use optspace::space::{Point, Space, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -362,9 +362,9 @@ pub struct MatMulFineConfig {
     pub tile: u32,
     /// Rectangular tiling factor: outputs per thread (1–16).
     pub rect: u32,
-    /// Inner-loop unroll factor; `0` means complete, factors past the
-    /// trip count clamp to complete, non-dividing factors take the
-    /// remainder-unroll path.
+    /// Inner-loop unroll factor; `0` means complete, factors past half
+    /// the trip count unroll completely, other non-dividing factors take
+    /// the remainder-unroll path.
     pub unroll: u32,
     /// Outer (tile-stream) loop unroll factor, remainder allowed.
     pub ounroll: u32,
@@ -392,8 +392,8 @@ impl fmt::Display for MatMulFineConfig {
 /// The `--grid fine` matmul space: the same kernel family as [`MatMul`]
 /// over a much finer grid — tile ∈ {2..32}, rect ∈ {1..16}, an
 /// open-ended inner unroll axis 0..=63 (remainder-unrolled, so factors
-/// need not divide the tile; factors past the trip count clamp to
-/// complete), an outer-loop unroll axis 1..=16, plus prefetch and
+/// need not divide the tile; factors past half the trip count unroll
+/// completely), an outer-loop unroll axis 1..=16, plus prefetch and
 /// spill: 5 × 5 × 64 × 16 × 2 × 2 = 102 400 points. Eager
 /// enumeration at this size is exactly what branch-and-bound makes
 /// unnecessary; resource-invalid corners (e.g. 32×32 = 1024 threads per
@@ -445,9 +445,10 @@ impl MatMulFine {
     }
 
     /// Generate the kernel for `cfg`: prefetch → remainder-unroll the
-    /// inner product loop → remainder-unroll the outer tile loop →
-    /// address folding → spill. Every grid tuple generates — there is
-    /// no divisibility constraint to legalize.
+    /// inner product loop (`tile` trips) → remainder-unroll the outer
+    /// tile loop (`n / tile` trips) → address folding → spill. Every
+    /// grid tuple generates; many unroll factors alias (see
+    /// [`App::legalize`] on this type).
     pub fn generate(&self, cfg: &MatMulFineConfig) -> Kernel {
         let proxy = MatMulConfig {
             tile: cfg.tile,
@@ -463,8 +464,8 @@ impl MatMulFine {
             prefetch_global_loads(&mut k, &outer).expect("matmul body starts with loads");
         }
         let inner = innermost_loops(&k).into_iter().next().expect("inner loop exists");
-        let factor = if cfg.unroll == 0 { cfg.tile } else { cfg.unroll };
-        unroll_with_remainder(&mut k, &inner, factor).expect("any nonzero factor is accepted");
+        unroll_with_remainder(&mut k, &inner, inner_factor(cfg.tile, cfg.unroll))
+            .expect("any nonzero factor is accepted");
         let outer = find_loops(&k).into_iter().next().expect("outer loop survives");
         unroll_with_remainder(&mut k, &outer, cfg.ounroll).expect("any nonzero factor");
         fold_strided_addresses(&mut k);
@@ -500,6 +501,55 @@ impl App for MatMulFine {
 
     fn instantiate(&self, point: &Point) -> Candidate {
         self.candidate(&Self::config_of(point))
+    }
+
+    /// Snap `unroll` and `ounroll` to the first value of their axis with
+    /// the same [`effective_unroll`] factor on their loop (`tile` inner
+    /// trips, `n / tile` outer trips). The snapped point builds the
+    /// same candidate apart from its label and kernel name — every
+    /// factor past half a loop's trip count is one complete unroll — so
+    /// the bound's rank memo instantiates each distinct probe kernel
+    /// once.
+    fn legalize(&self, space: &Space, values: &mut [Value]) {
+        let idx = |name: &str| space.axes().iter().position(|a| a.name() == name);
+        let (Some(ti), Some(ui), Some(oi)) = (idx("tile"), idx("unroll"), idx("ounroll")) else {
+            return;
+        };
+        let Some(tile) = values[ti].as_u32() else { return };
+        snap_unroll(space, values, ui, tile, |u| inner_factor(tile, u));
+        snap_unroll(space, values, oi, self.base.n / tile, |o| o);
+    }
+}
+
+/// The fine grid's inner unroll factor: `0` means complete, i.e. the
+/// tile (the inner loop's trip count).
+fn inner_factor(tile: u32, unroll: u32) -> u32 {
+    if unroll == 0 {
+        tile
+    } else {
+        unroll
+    }
+}
+
+/// Snap `values[axis]` to the first value of its axis whose factor
+/// (`resolve`d from the axis value) has the same [`effective_unroll`]
+/// on a loop of `trips` iterations.
+fn snap_unroll(
+    space: &Space,
+    values: &mut [Value],
+    axis: usize,
+    trips: u32,
+    resolve: impl Fn(u32) -> u32,
+) {
+    let Some(factor) = values[axis].as_u32() else { return };
+    let target = effective_unroll(trips, resolve(factor));
+    let canonical = space.axes()[axis]
+        .values()
+        .iter()
+        .filter_map(|v| v.as_u32())
+        .find(|&v| effective_unroll(trips, resolve(v)) == target);
+    if let Some(v) = canonical {
+        values[axis] = Value::from(v);
     }
 }
 
@@ -615,6 +665,63 @@ mod tests {
                 .unwrap();
             let n2 = (mm.base.n * mm.base.n) as usize;
             assert_eq!(&mem.global[2 * n2..3 * n2], &reference[..], "config {cfg}");
+        }
+    }
+
+    /// The legalized copy of a fine-grid point.
+    fn legalized(mm: &MatMulFine, space: &Space, p: &Point) -> Point {
+        let mut values = p.values().to_vec();
+        mm.legalize(space, &mut values);
+        space.probe_point(values)
+    }
+
+    #[test]
+    fn fine_legalize_snaps_to_an_alias_building_the_same_candidate() {
+        let mm = MatMulFine::reduced_problem();
+        let space = mm.space();
+        let mut canonical: std::collections::HashMap<usize, Candidate> =
+            std::collections::HashMap::new();
+        let mut snapped = 0usize;
+        for p in space.points() {
+            let cfg = MatMulFine::config_of(&p);
+            if cfg.rect != 1 || cfg.spill {
+                continue;
+            }
+            let q = legalized(&mm, &space, &p);
+            if q.ordinal() == p.ordinal() {
+                continue;
+            }
+            snapped += 1;
+            let want = canonical.entry(q.ordinal()).or_insert_with(|| mm.instantiate(&q));
+            let mut got = mm.instantiate(&p);
+            assert_ne!(got.label, want.label);
+            got.label.clone_from(&want.label);
+            got.kernel.name.clone_from(&want.kernel.name);
+            assert_eq!(&got, want, "{p} does not build the candidate of its alias {q}");
+        }
+        // Of the 5 tiles × 64 unrolls × 16 ounrolls × 2 prefetch
+        // settings, most are complete unrolls under another name.
+        assert_eq!((snapped, canonical.len()), (9326, 178));
+    }
+
+    #[test]
+    fn fine_legalize_is_idempotent_and_touches_only_the_unroll_axes() {
+        let mm = MatMulFine::reduced_problem();
+        let space = mm.space();
+        let unroll_axes = ["unroll", "ounroll"];
+        for rank in (0..space.grid_len()).step_by(7) {
+            let p = space.point_at_grid_rank(rank).expect("rank inside the grid");
+            let mut values = p.values().to_vec();
+            mm.legalize(&space, &mut values);
+            for (axis, (before, after)) in space.axes().iter().zip(p.values().iter().zip(&values)) {
+                assert!(axis.values().contains(after), "{p}: {after} is off axis {}", axis.name());
+                if !unroll_axes.contains(&axis.name()) {
+                    assert_eq!(before, after, "{p}: legalize moved {}", axis.name());
+                }
+            }
+            let mut again = values.clone();
+            mm.legalize(&space, &mut again);
+            assert_eq!(again, values, "{p}: legalize is not idempotent");
         }
     }
 

@@ -48,7 +48,7 @@ pub use loops::{find_loops, innermost_loops, LoopId};
 pub use prefetch::prefetch_global_loads;
 pub use schedule::{schedule_for_pressure, ScheduleReport};
 pub use spill::{spill_candidates, spill_registers};
-pub use unroll::{unroll, unroll_with_remainder};
+pub use unroll::{effective_unroll, unroll, unroll_with_remainder};
 
 /// Allocate a fresh virtual register on a finished kernel (passes need
 /// new temporaries after the builder is gone).

@@ -116,16 +116,42 @@ pub fn unroll(kernel: &mut Kernel, id: &LoopId, factor: u32) -> Result<(), PassE
     Ok(())
 }
 
+/// The factor [`unroll_with_remainder`] actually applies to a loop of
+/// `trips` iterations when asked to unroll it by `factor`:
+///
+/// * `1` (nothing to do) when `factor == 1` or the loop runs at most
+///   once;
+/// * `trips` (a complete unroll) when `factor >= trips`, or when
+///   `trips / factor == 1` — the main loop would run once, and its
+///   copies followed by the epilogue are exactly the complete unroll;
+/// * `factor` itself otherwise.
+///
+/// `factor == 0` is returned unchanged (both unroll entry points reject
+/// it). Two factors with the same effective factor produce identical
+/// kernels, so a search may treat them as one choice.
+pub fn effective_unroll(trips: u32, factor: u32) -> u32 {
+    if factor == 0 {
+        0
+    } else if factor == 1 || trips <= 1 {
+        1
+    } else if trips / factor <= 1 {
+        trips
+    } else {
+        factor
+    }
+}
+
 /// Unroll the loop addressed by `id` by `factor`, accepting factors
 /// that do not divide the trip count.
 ///
 /// The loop becomes `trips / factor` iterations of `factor` body
 /// copies, followed by `trips % factor` constant-substituted epilogue
-/// copies spliced after the loop. `factor >= trips` unrolls completely
-/// (the fine-grid spaces clamp their open-ended unroll axis this way);
-/// dividing factors delegate to [`unroll`] and produce no epilogue, so
-/// the paper's original configurations are bit-identical through either
-/// entry point.
+/// copies spliced after the loop. The factor applied is
+/// [`effective_unroll`]`(trips, factor)`: factors past half the trip
+/// count unroll completely (the fine-grid spaces clamp their
+/// open-ended unroll axis this way); dividing factors delegate to
+/// [`unroll`] and produce no epilogue, so the paper's original
+/// configurations are bit-identical through either entry point.
 ///
 /// # Errors
 ///
@@ -139,17 +165,25 @@ pub fn unroll_with_remainder(
     if factor == 0 {
         return Err(PassError::ZeroFactor);
     }
-    let l = get_loop(kernel, id).ok_or(PassError::LoopNotFound)?;
-    let trips = l.trip_count;
-    if factor == 1 || trips == 0 {
+    let trips = get_loop(kernel, id).ok_or(PassError::LoopNotFound)?.trip_count;
+    let factor = effective_unroll(trips, factor);
+    if factor == 1 {
         return Ok(());
-    }
-    if factor >= trips {
-        return unroll(kernel, id, trips);
     }
     if trips.is_multiple_of(factor) {
         return unroll(kernel, id, factor);
     }
+    unroll_split(kernel, id, factor)
+}
+
+/// Unroll by a `factor` in `2..trips` that does not divide the trip
+/// count: a trimmed main loop unrolled by `factor`, then the epilogue.
+/// [`unroll_with_remainder`] sends `trips / factor == 1` to a complete
+/// unroll instead; this split builds the same kernel for it, which
+/// `effective_factor_builds_the_same_kernel` checks.
+fn unroll_split(kernel: &mut Kernel, id: &LoopId, factor: u32) -> Result<(), PassError> {
+    let l = get_loop(kernel, id).ok_or(PassError::LoopNotFound)?;
+    let trips = l.trip_count;
     let q = trips / factor;
     let r = trips % factor;
     let counter = l.counter;
@@ -178,8 +212,7 @@ pub fn unroll_with_remainder(
     // when q == 1, partial otherwise).
     let l = crate::loops::get_loop_mut(kernel, id).ok_or(PassError::LoopNotFound)?;
     l.trip_count = q * factor;
-    unroll(kernel, id, factor)?;
-    Ok(())
+    unroll(kernel, id, factor)
 }
 
 #[cfg(test)]
@@ -301,6 +334,60 @@ mod tests {
             unroll(&mut a, &id, factor).unwrap();
             unroll_with_remainder(&mut b, &id, factor).unwrap();
             assert_eq!(a, b, "factor {factor}");
+        }
+    }
+
+    /// A loop of `trips` iterations whose body holds a nested loop and,
+    /// when `counted`, reads the counter in both.
+    fn alias_kernel(trips: u32, counted: bool) -> Kernel {
+        let mut b = KernelBuilder::new("alias");
+        let dst = b.param(0);
+        let acc = b.mov(0.0f32);
+        let body = |b: &mut KernelBuilder, i: Option<VReg>| {
+            let x = match i {
+                Some(i) => b.iadd(dst, i),
+                None => b.mov(dst),
+            };
+            let f = b.i2f(x);
+            b.fmad_acc(f, 2.0f32, acc);
+            b.repeat(2, |b| {
+                b.fmad_acc(f, 1.0f32, acc);
+            });
+        };
+        if counted {
+            b.for_loop(trips, |b, i| body(b, Some(i)));
+        } else {
+            b.repeat(trips, |b| body(b, None));
+        }
+        b.st_global(dst, 0, acc);
+        b.finish()
+    }
+
+    #[test]
+    fn effective_factor_builds_the_same_kernel() {
+        for counted in [true, false] {
+            for trips in 0..=40u32 {
+                let k0 = alias_kernel(trips, counted);
+                let id = find_loops(&k0).remove(0);
+                let build = |factor: u32| {
+                    let mut k = k0.clone();
+                    unroll_with_remainder(&mut k, &id, factor).unwrap();
+                    k
+                };
+                for factor in 1..=70u32 {
+                    let effective = effective_unroll(trips, factor);
+                    assert_eq!(effective_unroll(trips, effective), effective, "idempotent");
+                    let k = build(factor);
+                    assert_eq!(k, build(effective), "trips {trips} factor {factor}");
+                    if factor < trips && !trips.is_multiple_of(factor) && trips / factor == 1 {
+                        // The split the dispatch skips builds the
+                        // complete unroll it is replaced by.
+                        let mut split = k0.clone();
+                        unroll_split(&mut split, &id, factor).unwrap();
+                        assert_eq!(split, k, "trips {trips} factor {factor}: split != complete");
+                    }
+                }
+            }
         }
     }
 

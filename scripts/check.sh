@@ -144,6 +144,18 @@ grep -Eq "^bound-pruned subspaces +[1-9]" "$tracedir/cp_bnb.txt" || {
     exit 1
 }
 
+echo "==> fine-grid branch-and-bound smoke (tune matmul --grid fine --strategy bnb)"
+# The 102,400-point fine grid, searched by bound probes alone: aliased
+# unroll corners share one probe, and each distinct program is
+# simulated once per search, so this takes seconds, not minutes. The
+# optimum is pinned.
+fine=$(cargo run --release -q -- tune matmul --grid fine --strategy bnb --jobs 2)
+echo "$fine" | grep "^best configuration:"
+echo "$fine" | grep -qx "best configuration: #69694 16x16/1x4/uC/o16/pf (2.00 ms)" || {
+    echo "fine bnb smoke: expected best configuration #69694 16x16/1x4/uC/o16/pf (2.00 ms)" >&2
+    exit 1
+}
+
 echo "==> persistence smoke (tune sad --store-dir, warm re-run, corruption)"
 # A warm store must serve every unique back as a store hit with zero
 # fresh simulations; a torn segment must cost only the damaged records,

@@ -11,13 +11,20 @@
 
 use gpu_autotune::arch::MachineSpec;
 use gpu_autotune::kernels::{
-    cp::Cp, matmul::MatMul, mri_fhd::MriFhd, sad::Sad, App, AppInstantiator, SpaceSource,
+    cp::Cp,
+    matmul::{MatMul, MatMulFine},
+    mri_fhd::MriFhd,
+    sad::Sad,
+    App, AppInstantiator, SpaceSource,
 };
+use gpu_autotune::optspace::candidate::Candidate;
 use gpu_autotune::optspace::engine::{EngineConfig, EvalEngine};
-use gpu_autotune::optspace::model::{LowerBound, MinFloorBound};
-use gpu_autotune::optspace::space::Space;
+use gpu_autotune::optspace::model::{LowerBound, MinFloorBound, ProbeBound};
+use gpu_autotune::optspace::space::{Instantiator, PartialPoint, Point, Space};
 use gpu_autotune::optspace::tuner::{BranchAndBound, ExhaustiveSearch, SearchStrategy};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn engine_with_jobs(jobs: usize) -> EvalEngine {
     EvalEngine::new(EngineConfig { jobs, ..Default::default() })
@@ -218,4 +225,55 @@ fn root_bound_is_global_minimum() {
         .map(|p| synthetic_cost(p.u32("a"), p.u32("b"), p.u32("c")))
         .fold(f64::INFINITY, f64::min);
     assert!((root - min).abs() < 1e-12);
+}
+
+/// An app's generator with the default (identity) `legalize`: every
+/// corner is instantiated under its own rank.
+struct Unsnapped<'a>(&'a dyn App);
+
+impl Instantiator for Unsnapped<'_> {
+    fn instantiate(&self, point: &Point) -> Candidate {
+        self.0.instantiate(point)
+    }
+}
+
+/// Snapping the fine grid's aliased unroll factors changes which
+/// corners the bound instantiates, never a bound: on the root, every
+/// tile and tile×rect node, and a seeded sample of deeper nodes, the
+/// bound equals the identity-legalize bound bit for bit.
+#[test]
+fn alias_snapping_leaves_every_fine_grid_bound_unchanged() {
+    let spec = MachineSpec::geforce_8800_gtx();
+    let app = MatMulFine::reduced_problem();
+    let space = app.space();
+    let snapped = AppInstantiator(&app);
+    let unsnapped = Unsnapped(&app);
+    let with_snap = ProbeBound::new(&space, &snapped, &spec);
+    let without = ProbeBound::new(&space, &unsnapped, &spec);
+
+    let root = space.partial();
+    let mut nodes: Vec<PartialPoint> = vec![root.clone()];
+    for tile in root.split() {
+        nodes.extend(tile.split());
+        nodes.push(tile);
+    }
+    let mut rng = StdRng::seed_from_u64(14);
+    for _ in 0..40 {
+        let mut node = root.clone();
+        for _ in 0..rng.gen_range(3..=space.axes().len()) {
+            let children = node.split();
+            node = children[rng.gen_range(0..children.len())].clone();
+        }
+        nodes.push(node);
+    }
+    for node in &nodes {
+        let (a, b) = (with_snap.bound_ms(node), without.bound_ms(node));
+        assert_eq!(a.to_bits(), b.to_bits(), "{node}: snapped bound {a} != unsnapped {b}");
+    }
+    assert!(
+        with_snap.probes() < without.probes(),
+        "snapping must share instantiations: {} vs {} probes",
+        with_snap.probes(),
+        without.probes()
+    );
 }
