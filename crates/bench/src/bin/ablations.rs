@@ -10,15 +10,15 @@
 //!   bandwidth screen.
 
 use gpu_arch::MachineSpec;
-use optspace::engine::EvalEngine;
 use optspace::metrics::MetricsOptions;
 use optspace::report::table;
 use optspace::tuner::{ExhaustiveSearch, PrunedSearch, RandomSearch, SearchStrategy};
-use optspace_bench::{jobs_from_args, suite};
+use optspace_bench::{suite, BenchArgs};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let engine = EvalEngine::with_jobs(jobs_from_args(&args));
+    let args = BenchArgs::from_env();
+    args.require_full_space("ablations");
+    let engine = args.engine();
     let spec = MachineSpec::geforce_8800_gtx();
     let mut rows = vec![vec![
         "Kernel".to_string(),
@@ -95,4 +95,5 @@ fn main() {
     }
     println!("gap to the exhaustive optimum (0% = optimum found):\n");
     println!("{}", table(&rows));
+    args.sync();
 }

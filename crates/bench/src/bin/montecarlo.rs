@@ -6,16 +6,16 @@
 //! search: its (budget, gap) point is printed alongside.
 
 use gpu_arch::MachineSpec;
-use optspace::engine::EvalEngine;
 use optspace::report::table;
 use optspace::tuner::{ExhaustiveSearch, PrunedSearch, RandomSearch, SearchStrategy};
-use optspace_bench::{jobs_from_args, suite};
+use optspace_bench::{suite, BenchArgs};
 
 const SEEDS: u64 = 40;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let engine = EvalEngine::with_jobs(jobs_from_args(&args));
+    let args = BenchArgs::from_env();
+    args.require_full_space("montecarlo");
+    let engine = args.engine();
     let spec = MachineSpec::geforce_8800_gtx();
     for app in suite() {
         let cands = app.candidates();
@@ -76,4 +76,5 @@ fn main() {
         }
         println!("{}", table(&rows));
     }
+    args.sync();
 }

@@ -21,8 +21,8 @@
 //! `--app matmul|cp|sad|mri` restricts every section to one
 //! application; `--budget N` and `--seed S` override the zoo study's
 //! defaults (half the exhaustive timing budget, seed 0). The engine
-//! flags of the other experiment binaries (`--jobs`, `--sim-fuel`,
-//! `--retries`, ...) apply here too.
+//! flags of `gpu-autotune tune` (`--jobs`, `--sim-fuel`, `--retries`,
+//! `--store-dir`, ...) apply here too.
 
 use std::sync::Arc;
 
@@ -35,7 +35,7 @@ use optspace::tuner::{
     BranchAndBound, ExhaustiveSearch, PrunedSearch, RandomSearch, SearchReport, SearchStrategy,
 };
 use optspace::zoo;
-use optspace_bench::{engine_from_args, flag_value, require_writable_parent, run_zoo, suite};
+use optspace_bench::{or_exit, run_zoo, suite, BenchArgs};
 
 /// The suite apps' short CLI names (the front end's vocabulary).
 fn short_name(display: &str) -> &'static str {
@@ -85,7 +85,7 @@ fn score_json(report: &SearchReport, truth_ms: f64) -> Json {
 fn zoo_study(
     app: &dyn App,
     spec: &MachineSpec,
-    args: &[String],
+    args: &BenchArgs,
     budget: usize,
     seed: u64,
     truth: &SearchReport,
@@ -93,12 +93,12 @@ fn zoo_study(
 ) -> Json {
     let truth_ms = truth.best_time_ms().expect("ground truth found an optimum");
     let mut reports: Vec<SearchReport> = vec![RandomSearch::new(budget, seed).run_source(
-        &engine_from_args(args),
+        &args.engine(),
         &SpaceSource::full(app),
         spec,
     )];
     for name in zoo::NAMES {
-        reports.push(run_zoo(app, spec, &engine_from_args(args), name, budget, seed));
+        reports.push(run_zoo(app, spec, &args.engine(), name, budget, seed));
     }
     let mut rows = vec![vec![
         "strategy".to_string(),
@@ -152,29 +152,26 @@ fn zoo_study(
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let bench_out: Option<String> = flag_value(&args, "--bench-out");
-    let bnb_out: Option<String> = flag_value(&args, "--bnb-out");
-    let convergence_out: Option<String> = flag_value(&args, "--convergence-out");
-    let zoo_out: Option<String> = flag_value(&args, "--zoo-out");
-    let only: Option<String> = flag_value(&args, "--app");
+    let args = BenchArgs::from_env();
+    args.require_full_space("profile");
+    let bench_out: Option<String> = args.value("--bench-out", "a path");
+    let bnb_out: Option<String> = args.value("--bnb-out", "a path");
+    let convergence_out: Option<String> = args.value("--convergence-out", "a path");
+    let zoo_out: Option<String> = args.value("--zoo-out", "a path");
+    let only: Option<String> = args.value("--app", "an app (matmul|cp|sad|mri)");
     if let Some(name) = only.as_deref() {
         if !["matmul", "cp", "sad", "mri"].contains(&name) {
-            eprintln!("unknown app `{name}` (matmul|cp|sad|mri)");
-            std::process::exit(1);
+            or_exit(Err(format!("unknown app `{name}` (matmul|cp|sad|mri)")))
         }
     }
-    let budget_override: Option<usize> = match flag_value::<usize>(&args, "--budget") {
-        Some(0) => {
-            eprintln!("--budget needs a number >= 1");
-            std::process::exit(1);
-        }
+    let budget_override: Option<usize> = match args.value("--budget", "a number >= 1") {
+        Some(0) => or_exit(Err("--budget needs a number >= 1".to_string())),
         other => other,
     };
-    let seed: u64 = flag_value(&args, "--seed").unwrap_or(0);
+    let seed: u64 = args.value("--seed", "a number").unwrap_or(0);
     // A doomed export must fail now, not after the whole suite has run.
     for path in [&bench_out, &bnb_out, &convergence_out, &zoo_out].into_iter().flatten() {
-        require_writable_parent(path);
+        or_exit(optspace::cli::writable_parent(path));
     }
     let spec = MachineSpec::geforce_8800_gtx();
     let mut manifests: Vec<Json> = Vec::new();
@@ -182,7 +179,7 @@ fn main() {
         // A fresh sink per app keeps wall-time and worker accounting
         // per-run instead of smearing across the suite.
         let sink = Arc::new(EventSink::new());
-        let engine = engine_from_args(&args).with_sink(Arc::clone(&sink));
+        let engine = args.engine().with_sink(Arc::clone(&sink));
         let candidates = app.candidates();
         let report = PrunedSearch::default().run_with(&engine, &candidates, &spec);
         println!("== {} ({} configurations) ==", app.name(), candidates.len());
@@ -205,7 +202,7 @@ fn main() {
     ]];
     let mut comparisons: Vec<Json> = Vec::new();
     for app in selected_suite(only.as_deref()) {
-        let engine = engine_from_args(&args);
+        let engine = args.engine();
         let space = app.space();
         let exhaustive = ExhaustiveSearch.run_source(
             &engine,
@@ -252,13 +249,11 @@ fn main() {
             ),
             ("manifests", Json::Arr(manifests)),
         ]);
-        match std::fs::write(&path, doc.to_string_pretty()) {
-            Ok(()) => println!("manifests -> {path}"),
-            Err(e) => {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(1);
-            }
-        }
+        or_exit(
+            std::fs::write(&path, doc.to_string_pretty())
+                .map_err(|e| format!("cannot write {path}: {e}")),
+        );
+        println!("manifests -> {path}");
     }
     if let Some(path) = convergence_out {
         // Convergence trajectories: every strategy's curve per app. The
@@ -269,7 +264,7 @@ fn main() {
             let space = app.space();
             let candidates = app.candidates();
             let exhaustive = ExhaustiveSearch.run_source(
-                &engine_from_args(&args),
+                &args.engine(),
                 &gpu_kernels::SpaceSource::full(app.as_ref()),
                 &spec,
             );
@@ -279,14 +274,11 @@ fn main() {
                 budget_override.unwrap_or_else(|| (exhaustive.evaluated_count() / 2).max(1));
             let mut runs: Vec<(&str, optspace::tuner::SearchReport)> = vec![
                 ("exhaustive", exhaustive),
-                (
-                    "pruned",
-                    PrunedSearch::default().run_with(&engine_from_args(&args), &candidates, &spec),
-                ),
+                ("pruned", PrunedSearch::default().run_with(&args.engine(), &candidates, &spec)),
                 (
                     "bnb",
                     BranchAndBound.run_space(
-                        &engine_from_args(&args),
+                        &args.engine(),
                         &space,
                         &AppInstantiator(app.as_ref()),
                         &spec,
@@ -294,10 +286,7 @@ fn main() {
                 ),
             ];
             for name in zoo::NAMES {
-                runs.push((
-                    name,
-                    run_zoo(app.as_ref(), &spec, &engine_from_args(&args), name, budget, seed),
-                ));
+                runs.push((name, run_zoo(app.as_ref(), &spec, &args.engine(), name, budget, seed)));
             }
             let strategies: Vec<Json> = runs
                 .into_iter()
@@ -340,13 +329,11 @@ fn main() {
             ),
             ("apps", Json::Arr(apps)),
         ]);
-        match std::fs::write(&path, doc.to_string_pretty()) {
-            Ok(()) => println!("convergence -> {path}"),
-            Err(e) => {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(1);
-            }
-        }
+        or_exit(
+            std::fs::write(&path, doc.to_string_pretty())
+                .map_err(|e| format!("cannot write {path}: {e}")),
+        );
+        println!("convergence -> {path}");
     }
     if let Some(path) = zoo_out {
         // The search-strategy zoo study: every iterative strategy (plus
@@ -357,20 +344,20 @@ fn main() {
         let mut apps: Vec<Json> = Vec::new();
         for app in selected_suite(only.as_deref()) {
             let truth = ExhaustiveSearch.run_source(
-                &engine_from_args(&args),
+                &args.engine(),
                 &SpaceSource::full(app.as_ref()),
                 &spec,
             );
             let budget = budget_override.unwrap_or_else(|| (truth.evaluated_count() / 2).max(1));
             apps.push(zoo_study(app.as_ref(), &spec, &args, budget, seed, &truth, "exhaustive"));
         }
-        if args.iter().any(|a| a == "--fine") && only.as_deref().is_none_or(|n| n == "matmul") {
+        if args.has("--fine") && only.as_deref().is_none_or(|n| n == "matmul") {
             // The fine matmul grid is too large to exhaust here;
             // branch-and-bound certifies the same optimum with a
             // fraction of the simulations and supplies ground truth.
             let fine = MatMulFine::reduced_problem();
             let truth = BranchAndBound.run_space(
-                &engine_from_args(&args),
+                &args.engine(),
                 &fine.space(),
                 &AppInstantiator(&fine),
                 &spec,
@@ -390,13 +377,11 @@ fn main() {
             ),
             ("apps", Json::Arr(apps)),
         ]);
-        match std::fs::write(&path, doc.to_string_pretty()) {
-            Ok(()) => println!("zoo study -> {path}"),
-            Err(e) => {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(1);
-            }
-        }
+        or_exit(
+            std::fs::write(&path, doc.to_string_pretty())
+                .map_err(|e| format!("cannot write {path}: {e}")),
+        );
+        println!("zoo study -> {path}");
     }
     if let Some(path) = bnb_out {
         let doc = Json::obj([
@@ -410,12 +395,11 @@ fn main() {
             ),
             ("comparisons", Json::Arr(comparisons)),
         ]);
-        match std::fs::write(&path, doc.to_string_pretty()) {
-            Ok(()) => println!("comparison -> {path}"),
-            Err(e) => {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(1);
-            }
-        }
+        or_exit(
+            std::fs::write(&path, doc.to_string_pretty())
+                .map_err(|e| format!("cannot write {path}: {e}")),
+        );
+        println!("comparison -> {path}");
     }
+    args.sync();
 }

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use gpu_arch::MachineSpec;
 use optspace::obs::{EventSink, Json};
 use optspace::report::{fmt_ms, table};
-use optspace_bench::{compare_selected, engine_from_args, selection_from_args, suite};
+use optspace_bench::{compare_selected, suite, BenchArgs};
 
 /// Look up one field of a trace event.
 fn field<'a>(fields: &'a [(&'static str, Json)], key: &str) -> Option<&'a Json> {
@@ -22,15 +22,9 @@ fn field<'a>(fields: &'a [(&'static str, Json)], key: &str) -> Option<&'a Json> 
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let verbose = args.iter().any(|a| a == "--verbose");
-    let selection = match selection_from_args(&args) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    };
+    let args = BenchArgs::from_env();
+    let verbose = args.has("--verbose");
+    let selection = &args.selection;
     if !selection.is_noop() {
         println!("selection: {selection} (applied per app; unknown axes ignored)");
     }
@@ -48,7 +42,7 @@ fn main() {
     let mut quarantined = 0usize;
     let mut kind_lines: Vec<String> = Vec::new();
     for app in suite() {
-        let mut engine = engine_from_args(&args);
+        let mut engine = args.engine();
         let sink = if verbose {
             let sink = Arc::new(EventSink::new());
             engine = engine.with_sink(Arc::clone(&sink));
@@ -56,7 +50,7 @@ fn main() {
         } else {
             None
         };
-        let c = compare_selected(app.as_ref(), &spec, &engine, &selection);
+        let c = compare_selected(app.as_ref(), &spec, &engine, selection);
         quarantined += c.exhaustive.quarantined_count() + c.pruned.quarantined_count();
         if let Some(sink) = sink {
             // Per-candidate error kinds, straight from the trace the
@@ -98,4 +92,5 @@ fn main() {
         }
     }
     println!("quarantined configurations: {quarantined}");
+    args.sync();
 }

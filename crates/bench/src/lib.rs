@@ -2,13 +2,18 @@
 //!
 //! Each `src/bin/*.rs` binary regenerates one table or figure of the
 //! paper's evaluation; this library holds the pieces they share: the
-//! application suite at bench scale and the search-comparison runner.
+//! application suite at bench scale, the search-comparison runner, and
+//! [`BenchArgs`], the command line they share with `gpu-autotune tune`.
+
+use std::str::FromStr;
+use std::sync::Arc;
 
 use gpu_arch::MachineSpec;
 use gpu_kernels::{cp::Cp, matmul::MatMul, mri_fhd::MriFhd, sad::Sad, App, SpaceSource};
-use optspace::engine::{EngineConfig, EvalEngine, FaultPlan};
+use optspace::cli::{self, EngineArgs};
+use optspace::engine::{EngineConfig, EvalEngine, ResultStore};
 use optspace::tuner::{ExhaustiveSearch, PrunedSearch, SearchReport, SearchStrategy};
-use optspace::{Filter, Sample, Selection};
+use optspace::Selection;
 
 /// The four applications at the scale the experiment binaries run them.
 ///
@@ -82,29 +87,6 @@ pub fn compare_selected(
     Comparison { name: app.name(), exhaustive, pruned }
 }
 
-/// Parse the selection flags shared by the experiment binaries:
-/// every `--filter axis=value` occurrence plus `--sample N` and
-/// `--sample-seed S`.
-///
-/// # Errors
-///
-/// A `--filter` clause without a `=` (or with an empty side) is
-/// reported as an error string suitable for printing.
-pub fn selection_from_args(args: &[String]) -> Result<Selection, String> {
-    let mut filters = Vec::new();
-    for (i, a) in args.iter().enumerate() {
-        if a == "--filter" {
-            match args.get(i + 1) {
-                Some(raw) => filters.push(Filter::parse(raw).map_err(|e| e.to_string())?),
-                None => return Err("--filter needs axis=value".to_string()),
-            }
-        }
-    }
-    let sample = flag_value::<usize>(args, "--sample")
-        .map(|count| Sample { count, seed: flag_value(args, "--sample-seed").unwrap_or(0) });
-    Ok(Selection { filters, sample })
-}
-
 /// Run one named iterative zoo strategy over an application's full
 /// space (iterative strategies require dense indices aligned with the
 /// declared space, so no selection applies here).
@@ -127,98 +109,74 @@ pub fn run_zoo(
     optspace::tuner::run_iterative(strategy.as_mut(), engine, &source, spec)
 }
 
-/// Print a CLI usage error and exit 1 — the experiment binaries' analog
-/// of the front end's `eprintln!` + `ExitCode::FAILURE` idiom, with the
-/// same message wording so scripted callers see one vocabulary.
-fn fail(msg: &str) -> ! {
-    eprintln!("{msg}");
-    std::process::exit(1);
+/// Unwrap a command-line result or print its message and exit 1 — the
+/// experiment binaries' analog of the front end's `eprintln!` +
+/// `ExitCode::FAILURE`, with the same wording.
+pub fn or_exit<T>(result: Result<T, String>) -> T {
+    result.unwrap_or_else(|msg| {
+        eprintln!("{msg}");
+        std::process::exit(1)
+    })
 }
 
-/// Parse `<flag> <value>` distinguishing *absent* (`None`, use the
-/// default) from *present but unusable*, which aborts with `needs`
-/// appended to the flag name. A silent fallback here once made
-/// `--jobs 0` run sequentially while claiming nothing — bad values in
-/// bench runs must be loud, not defaulted.
-fn checked_flag_value<T: std::str::FromStr>(args: &[String], flag: &str, needs: &str) -> Option<T> {
-    let p = args.iter().position(|a| a == flag)?;
-    match args.get(p + 1).and_then(|v| v.parse().ok()) {
-        Some(v) => Some(v),
-        None => fail(&format!("{flag} needs {needs}")),
+/// The experiment binaries' command line, read once per process: the
+/// engine and selection flags `gpu-autotune tune` takes (parsed by
+/// [`optspace::cli`], so they are validated with the same wording), the
+/// result store opened once, and the remaining arguments for the
+/// binary's own flags. Arguments no one reads are ignored, so each
+/// binary layers its own flags on top.
+#[derive(Debug)]
+pub struct BenchArgs {
+    config: EngineConfig,
+    store: Option<Arc<ResultStore>>,
+    /// `--filter`/`--sample` narrowing. Binaries that search whole
+    /// spaces call [`BenchArgs::require_full_space`].
+    pub selection: Selection,
+    rest: Vec<String>,
+}
+
+impl BenchArgs {
+    /// Parse the process arguments; a bad shared flag or an unusable
+    /// `--store-dir` exits 1.
+    pub fn from_env() -> Self {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        let parsed = or_exit(EngineArgs::parse(&args));
+        let store = or_exit(parsed.open_store());
+        Self { config: parsed.config, store, selection: parsed.selection, rest: parsed.rest }
     }
-}
 
-/// Parse a `--jobs N` flag from raw process args (the experiment
-/// binaries' shared CLI surface); defaults to 1, aborts (exit 1) when
-/// the flag is present with a missing or invalid value.
-pub fn jobs_from_args(args: &[String]) -> usize {
-    match checked_flag_value::<usize>(args, "--jobs", "a number >= 1") {
-        Some(j) if j >= 1 => j,
-        Some(_) => fail("--jobs needs a number >= 1"),
-        None => 1,
-    }
-}
-
-/// Parse `<flag> <value>` from raw process args; `None` when the flag is
-/// absent or its value does not parse. `T = String` makes this the path
-/// flag helper (`--bench-out out.json`).
-pub fn flag_value<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
-    args.iter().position(|a| a == flag).and_then(|p| args.get(p + 1)).and_then(|v| v.parse().ok())
-}
-
-/// Abort (exit 1) unless `path` can plausibly be created: its parent
-/// directory, when it names one, must already exist. Called *before* a
-/// long run so a doomed export fails in seconds, not after the suite.
-pub fn require_writable_parent(path: &str) {
-    if let Some(parent) = std::path::Path::new(path).parent() {
-        if !parent.as_os_str().is_empty() && !parent.is_dir() {
-            eprintln!(
-                "cannot write {path}: parent directory `{}` does not exist",
-                parent.display()
-            );
-            std::process::exit(1);
+    /// A fresh engine for one search (its own decode cache and
+    /// convergence recorder) sharing the run's one result store.
+    pub fn engine(&self) -> EvalEngine {
+        let engine = EvalEngine::new(self.config);
+        match &self.store {
+            Some(store) => engine.with_store(Arc::clone(store)),
+            None => engine,
         }
     }
-}
 
-/// Build an engine from the experiment binaries' shared flags:
-/// `--jobs N`, `--sim-fuel N`, `--check-races`, `--retries N`,
-/// `--inject-faults`, `--fault-seed N`, `--store-dir <dir>`.
-/// Unrecognised arguments are ignored so binaries can layer their own
-/// flags on top. An unusable `--store-dir` aborts the process — a
-/// bench run that silently re-simulates everything it meant to reuse
-/// would report misleading numbers.
-pub fn engine_from_args(args: &[String]) -> EvalEngine {
-    let mut config = EngineConfig { jobs: jobs_from_args(args), ..Default::default() };
-    config.sim_fuel =
-        match checked_flag_value::<u64>(args, "--sim-fuel", "a positive number of steps") {
-            Some(0) => fail("--sim-fuel needs a positive number of steps"),
-            other => other,
-        };
-    config.check_races = args.iter().any(|a| a == "--check-races");
-    match checked_flag_value::<u32>(args, "--retries", "a number >= 1") {
-        Some(n) if n >= 1 => config.retry.max_attempts = n,
-        Some(_) => fail("--retries needs a number >= 1"),
-        None => {}
+    /// One of the binary's own `<flag> <value>` options: `None` when
+    /// absent; exits 1 with `"{flag} needs {needs}"` when present but
+    /// unusable.
+    pub fn value<T: FromStr>(&self, flag: &str, needs: &str) -> Option<T> {
+        or_exit(cli::flag_value(&self.rest, flag, needs))
     }
-    let fault_seed = checked_flag_value::<u64>(args, "--fault-seed", "a number");
-    if args.iter().any(|a| a == "--inject-faults") {
-        config.fault_plan = Some(match fault_seed {
-            Some(seed) => FaultPlan::with_seed(seed),
-            None => FaultPlan::default(),
-        });
-    } else if fault_seed.is_some() {
-        fail("--fault-seed requires --inject-faults");
+
+    /// Whether one of the binary's own switches is present.
+    pub fn has(&self, flag: &str) -> bool {
+        self.rest.iter().any(|a| a == flag)
     }
-    let mut engine = EvalEngine::new(config);
-    if let Some(dir) = flag_value::<String>(args, "--store-dir") {
-        match optspace::engine::ResultStore::open(&dir) {
-            Ok(store) => engine = engine.with_store(std::sync::Arc::new(store)),
-            Err(e) => {
-                eprintln!("cannot open result store {dir}: {e}");
-                std::process::exit(1);
-            }
+
+    /// Exit 1 when `--filter`/`--sample` were given to binary `bin`,
+    /// which searches whole spaces and would otherwise ignore them.
+    pub fn require_full_space(&self, bin: &str) {
+        if !self.selection.is_noop() {
+            or_exit(Err(format!("{bin} searches the full space; drop --filter/--sample")))
         }
     }
-    engine
+
+    /// Make the result store's records durable; call once before exit.
+    pub fn sync(&self) {
+        cli::sync_store(self.store.as_deref());
+    }
 }

@@ -139,7 +139,10 @@ impl StaticEval for MetricsEval {
 /// phase, so evaluators receive the arena-backed form directly; the
 /// original linear program stays reachable as
 /// [`DecodedProgram::source`](gpu_sim::decode::DecodedProgram) for
-/// evaluators that need it (content keys, the legacy engine).
+/// evaluators that need it: content keys, or a differential test timing
+/// the same selection with the pre-decode reference `gpu_sim::legacy`
+/// through this trait. The engine itself only ever runs
+/// [`SimulatorEval`].
 pub trait TimingEval: Sync {
     /// Simulate one program.
     fn simulate(
@@ -167,28 +170,19 @@ pub trait TimingEval: Sync {
     }
 }
 
-/// The standard timing evaluator: the warp-level G80 simulator, with an
-/// optional fuel watchdog bounding every event loop. Runs the decoded
-/// arena engine by default; `legacy` switches to the pre-decode
-/// reference engine (`gpu_sim::legacy`), which the differential test
-/// suite holds bit-identical.
-#[derive(Debug, Clone, Copy, Default)]
+/// The standard timing evaluator: the decoded warp-level G80 simulator
+/// (`gpu_sim::timing`), with an optional fuel watchdog bounding every
+/// event loop.
+#[derive(Debug, Clone, Copy)]
 pub struct SimulatorEval {
     /// Scheduler-step limit per simulation; `None` is unbounded.
     pub fuel: Option<u64>,
-    /// Use the pre-decode reference engine instead of the decoded one.
-    pub legacy: bool,
 }
 
 impl SimulatorEval {
-    /// Evaluator with the given fuel limit (decoded engine).
-    pub fn with_fuel(fuel: Option<u64>) -> Self {
-        Self { fuel, legacy: false }
-    }
-
-    /// Evaluator matching an engine configuration (fuel + engine kind).
+    /// Evaluator matching an engine configuration's fuel limit.
     pub fn from_config(config: &EngineConfig) -> Self {
-        Self { fuel: config.sim_fuel, legacy: config.legacy_sim }
+        Self { fuel: config.sim_fuel }
     }
 }
 
@@ -200,13 +194,8 @@ impl TimingEval for SimulatorEval {
         usage: &ResourceUsage,
         spec: &MachineSpec,
     ) -> Result<TimingReport, EvalError> {
-        if self.legacy {
-            gpu_sim::legacy::timing::simulate_fueled(&prog.source, launch, usage, spec, self.fuel)
-                .map_err(Into::into)
-        } else {
-            gpu_sim::timing::simulate_decoded_fueled(prog, launch, usage, spec, self.fuel)
-                .map_err(Into::into)
-        }
+        gpu_sim::timing::simulate_decoded_fueled(prog, launch, usage, spec, self.fuel)
+            .map_err(Into::into)
     }
 
     fn simulate_family(
@@ -216,19 +205,7 @@ impl TimingEval for SimulatorEval {
         usage: &ResourceUsage,
         spec: &MachineSpec,
     ) -> Option<Vec<TimingReport>> {
-        if self.legacy {
-            // The reference engine only forks single-axis families; a
-            // wider family errors here and degrades to singles.
-            let sources: Vec<&gpu_ir::linear::LinearProgram> =
-                progs.iter().map(|p| &p.source).collect();
-            gpu_sim::legacy::timing::simulate_family_fueled(
-                &sources, launch, usage, spec, self.fuel,
-            )
-            .ok()
-        } else {
-            gpu_sim::timing::simulate_family_decoded_fueled(progs, launch, usage, spec, self.fuel)
-                .ok()
-        }
+        gpu_sim::timing::simulate_family_decoded_fueled(progs, launch, usage, spec, self.fuel).ok()
     }
 }
 
@@ -271,12 +248,6 @@ pub struct EngineConfig {
     /// flowing into selection. Off by default (the `--check-races` CLI
     /// flag turns it on).
     pub check_races: bool,
-    /// Time with the pre-decode reference engine (`gpu_sim::legacy`)
-    /// instead of the decoded arena engine. Off by default (the
-    /// `--engine legacy` CLI flag turns it on); reports are
-    /// bit-identical either way — the switch exists for differential
-    /// validation.
-    pub legacy_sim: bool,
 }
 
 impl Default for EngineConfig {
@@ -288,7 +259,6 @@ impl Default for EngineConfig {
             sim_fuel: None,
             fault_plan: None,
             check_races: false,
-            legacy_sim: false,
         }
     }
 }
@@ -1430,7 +1400,7 @@ mod tests {
         let selected: Vec<usize> =
             statics.iter().enumerate().filter_map(|(i, e)| e.as_ref().map(|_| i)).collect();
         let sims = engine.simulate_selected(
-            &SimulatorEval::default(),
+            &SimulatorEval::from_config(&engine.config),
             &cands,
             &statics,
             &selected,
@@ -1590,7 +1560,7 @@ mod fault_tests {
         let selected: Vec<usize> =
             statics.iter().enumerate().filter_map(|(i, e)| e.as_ref().map(|_| i)).collect();
         let sims = engine.simulate_selected(
-            &SimulatorEval::with_fuel(engine.config.sim_fuel),
+            &SimulatorEval::from_config(&engine.config),
             &cands,
             &statics,
             &selected,

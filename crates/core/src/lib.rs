@@ -40,6 +40,8 @@
 //!   [`obs::RunManifest`] (all serialized with the in-tree JSON support).
 //! * [`report`] — table and ASCII-scatter formatting for the experiment
 //!   harness.
+//! * [`cli`] — the engine and selection flags every front end shares
+//!   (`--jobs`, `--store-dir`, `--filter`, ...), parsed in one place.
 //!
 //! # Examples
 //!
@@ -63,6 +65,7 @@
 
 pub mod bandwidth;
 pub mod candidate;
+pub mod cli;
 pub mod engine;
 pub mod metrics;
 pub mod model;

@@ -190,7 +190,8 @@ impl DecodedArena {
 
 /// A program lowered for execution: a shared [`DecodedArena`] plus this
 /// member's trip counts and the retained source (for exact-key
-/// recomputation and the legacy escape hatch).
+/// recomputation and for the pre-decode reference engines in
+/// [`crate::legacy`], which differential tests run on it).
 #[derive(Debug, Clone, PartialEq)]
 pub struct DecodedProgram {
     /// The shared structural arena.

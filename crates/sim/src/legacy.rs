@@ -4,9 +4,10 @@
 //! behavioural oracle for the decoded engines in [`crate::timing`] and
 //! [`crate::interp`]: the differential test suite asserts bit-identical
 //! functional results, cycle counts, fuel consumption, and stall-lane
-//! attribution between the two stacks, and the CLI's `--engine legacy`
-//! escape hatch routes timing simulation through this module so any
-//! suspected decoder bug can be cross-checked in the field.
+//! attribution between the two stacks. Nothing in the production
+//! engine calls this module: whole-search differential tests plug it in
+//! through `optspace::engine::TimingEval`, so the release front end
+//! links none of it.
 //!
 //! [`LinOp`]: gpu_ir::linear::LinOp
 

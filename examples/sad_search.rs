@@ -2,24 +2,35 @@
 //! space (Figure 4), searched three ways — exhaustively, with the
 //! paper's Pareto pruning, and by random sampling with the same budget.
 //!
-//! Run with: `cargo run --release --example sad_search [-- --jobs N]`
+//! Run with: `cargo run --release --example sad_search [-- --jobs N]`;
+//! the other engine flags of `gpu-autotune tune` (`--sim-fuel`,
+//! `--store-dir`, ...) apply too.
+
+use std::sync::Arc;
 
 use gpu_autotune::arch::MachineSpec;
 use gpu_autotune::kernels::sad::Sad;
 use gpu_autotune::kernels::App;
+use gpu_autotune::optspace::cli::{self, EngineArgs};
 use gpu_autotune::optspace::engine::EvalEngine;
 use gpu_autotune::optspace::report::fmt_ms;
 use gpu_autotune::optspace::tuner::{ExhaustiveSearch, PrunedSearch, RandomSearch, SearchStrategy};
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let jobs = args
-        .iter()
-        .position(|a| a == "--jobs")
-        .and_then(|p| args.get(p + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
-    let engine = EvalEngine::with_jobs(jobs);
+fn main() -> Result<(), String> {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = EngineArgs::parse(&argv)?;
+    if let Some(flag) = args.rest.first() {
+        return Err(format!("unknown flag `{flag}`"));
+    }
+    if !args.selection.is_noop() {
+        return Err("sad_search searches the full space; drop --filter/--sample".to_string());
+    }
+    let store = args.open_store()?;
+    let mut engine = EvalEngine::new(args.config);
+    if let Some(st) = &store {
+        engine = engine.with_store(Arc::clone(st));
+    }
+    let jobs = args.config.jobs;
     let spec = MachineSpec::geforce_8800_gtx();
     let sad = Sad::paper_problem();
     let candidates = sad.candidates();
@@ -74,4 +85,6 @@ fn main() {
          mean gap +{:.1}%",
         regret / f64::from(trials as u32) * 100.0
     );
+    cli::sync_store(store.as_deref());
+    Ok(())
 }

@@ -13,6 +13,16 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo build --release"
 cargo build --release
 
+echo "==> no reference engine in the release binary"
+# The pre-decode simulator (`gpu_sim::legacy`) is a differential-test
+# reference only: tests/decoded_parity.rs plugs it into the engine
+# through `TimingEval`. Nothing the front end runs may reach it.
+symbols=$(nm -C target/release/gpu-autotune)
+if echo "$symbols" | grep 'gpu_sim::legacy'; then
+    echo "release binary links gpu_sim::legacy symbols (listed above)" >&2
+    exit 1
+fi
+
 echo "==> cargo test"
 cargo test -q
 
@@ -240,19 +250,6 @@ for strategy in exhaustive pruned bnb hill anneal genetic surrogate; do
         exit 1
     }
 done
-
-echo "==> decoded-parity smoke (tune sad --engine legacy vs default)"
-# The decoded arena engine and the retained pre-decode reference must
-# print byte-identical search reports on a real application space — the
-# whole tentpole rests on the two being observationally equal.
-cargo run --release -q -- tune sad --strategy exhaustive --jobs 2 \
-    > "$tracedir/engine_decoded.txt"
-cargo run --release -q -- tune sad --strategy exhaustive --jobs 2 --engine legacy \
-    > "$tracedir/engine_legacy.txt"
-diff -u "$tracedir/engine_decoded.txt" "$tracedir/engine_legacy.txt" || {
-    echo "decoded-parity smoke: reports differ between engines" >&2
-    exit 1
-}
 
 echo "==> cargo doc (-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps > /dev/null

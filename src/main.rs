@@ -19,9 +19,6 @@
 //!     --deadline-ms X                       cap accumulated simulated time
 //!     --sim-fuel N                          per-simulation step budget (watchdog)
 //!     --check-races                         quarantine statically racy kernels
-//!     --engine decoded|legacy               timing engine: decoded arena (default)
-//!                                           or the pre-decode reference
-
 //!     --retries N                           attempts per candidate (default 3)
 //!     --inject-faults                       deterministic fault injection (dev)
 //!     --fault-seed N                        seed for --inject-faults
@@ -58,9 +55,10 @@ use gpu_autotune::kernels::{
     App, AppInstantiator, SpaceSource,
 };
 use gpu_autotune::optspace::candidate::Candidate;
+use gpu_autotune::optspace::cli::{self, EngineArgs};
 use gpu_autotune::optspace::engine::{
-    checkpoint, install_signal_handler, store, CheckpointMeta, Checkpointer, EngineConfig,
-    EvalBudget, EvalEngine, FaultPlan, ResultStore, RetryPolicy, DEFAULT_CHECKPOINT_EVERY,
+    checkpoint, install_signal_handler, store, CheckpointMeta, Checkpointer, EvalEngine,
+    DEFAULT_CHECKPOINT_EVERY,
 };
 use gpu_autotune::optspace::obs::StoreSummary;
 use gpu_autotune::optspace::obs::{
@@ -73,7 +71,6 @@ use gpu_autotune::optspace::tuner::{
     SearchStrategy,
 };
 use gpu_autotune::optspace::zoo;
-use gpu_autotune::optspace::{Filter, Sample, Selection};
 
 const USAGE: &str = "\
 usage: gpu-autotune <command> [args]
@@ -86,7 +83,6 @@ commands:
              [--budget N] [--seed S]
              [--grid default|fine] [--device g80|gt200] [--no-screen] [--jobs N]
              [--max-sims N] [--deadline-ms X] [--sim-fuel N] [--check-races]
-             [--engine decoded|legacy]
              [--retries N] [--inject-faults] [--fault-seed N]
              [--filter axis=value]... [--sample N] [--sample-seed S] [--eager]
              [--trace-out <path>] [--trace-format jsonl|chrome]
@@ -276,244 +272,76 @@ fn print_search(labels: &[String], r: &SearchReport) {
     }
 }
 
-/// Check that `path` could plausibly be created: its parent directory
-/// must already exist. Catches `--trace-out /no/such/dir/t.jsonl`
-/// before a long search runs, not after.
-fn writable_parent(path: &str) -> Result<(), String> {
-    match std::path::Path::new(path).parent() {
-        None => Ok(()),
-        Some(parent) if parent.as_os_str().is_empty() || parent.is_dir() => Ok(()),
-        Some(parent) => Err(format!(
-            "cannot write {path}: parent directory `{}` does not exist",
-            parent.display()
-        )),
-    }
+fn cmd_tune(args: &[String]) -> ExitCode {
+    tune(args).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        ExitCode::FAILURE
+    })
 }
 
-fn cmd_tune(args: &[String]) -> ExitCode {
+/// `tune`: the engine and selection flags come from the shared parser
+/// ([`EngineArgs`]); this loop reads the search's own flags from what
+/// it leaves and rejects anything else. `Err` is the message to print
+/// before exiting 1.
+fn tune(args: &[String]) -> Result<ExitCode, String> {
     let Some(app_name) = args.first() else {
-        eprintln!("tune needs an app (matmul|cp|sad|mri)");
-        return ExitCode::FAILURE;
+        return Err("tune needs an app (matmul|cp|sad|mri)".to_string());
     };
     if app_by_name(app_name).is_none() {
-        eprintln!("unknown app `{app_name}` (matmul|cp|sad|mri)");
-        return ExitCode::FAILURE;
+        return Err(format!("unknown app `{app_name}` (matmul|cp|sad|mri)"));
     }
+    let engine_args = EngineArgs::parse(&args[1..])?;
+    let selection = &engine_args.selection;
     let mut strategy = "pareto".to_string();
     let mut grid = "default".to_string();
     let mut budget = 10usize;
     let mut seed = 0u64;
     let mut device = MachineSpec::geforce_8800_gtx();
     let mut screen = true;
-    let mut jobs = 1usize;
-    let mut eval_budget = EvalBudget::UNLIMITED;
-    let mut sim_fuel: Option<u64> = None;
-    let mut check_races = false;
-    let mut legacy_sim = false;
-    let mut retry = RetryPolicy::default();
-    let mut inject = false;
-    let mut fault_seed: Option<u64> = None;
     let mut trace_out: Option<String> = None;
     let mut trace_format = "jsonl".to_string();
     let mut metrics_out: Option<String> = None;
     let mut profile = false;
-    let mut filters: Vec<Filter> = Vec::new();
-    let mut sample: Option<usize> = None;
-    let mut sample_seed: Option<u64> = None;
     let mut eager = false;
-    let mut store_dir: Option<String> = None;
     let mut checkpoint_path: Option<String> = None;
     let mut checkpoint_every = DEFAULT_CHECKPOINT_EVERY;
     let mut resume_path: Option<String> = None;
     let mut stop_after: Option<usize> = None;
-    let mut it = args[1..].iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--strategy" => match it.next() {
-                Some(s) => strategy = s.clone(),
-                None => {
-                    eprintln!("--strategy needs a value");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--grid" => match it.next() {
-                Some(g) => grid = g.clone(),
-                None => {
-                    eprintln!("--grid needs a value (default|fine)");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--budget" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(b) if b >= 1 => budget = b,
-                _ => {
-                    eprintln!("--budget needs a number >= 1");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--seed" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(s) => seed = s,
-                None => {
-                    eprintln!("--seed needs a number");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--device" => match it.next().and_then(|s| device_by_name(s)) {
-                Some(d) => device = d,
-                None => {
-                    eprintln!("--device needs g80|gt200");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--no-screen" => screen = false,
-            "--jobs" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(j) if j >= 1 => jobs = j,
-                _ => {
-                    eprintln!("--jobs needs a number >= 1");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--max-sims" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) => eval_budget.max_sims = Some(n),
-                None => {
-                    eprintln!("--max-sims needs a number");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--deadline-ms" => match it.next().and_then(|s| s.parse::<f64>().ok()) {
-                Some(ms) if ms > 0.0 => eval_budget.deadline_ms = Some(ms),
-                _ => {
-                    eprintln!("--deadline-ms needs a positive number");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--sim-fuel" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(f) if f > 0 => sim_fuel = Some(f),
-                _ => {
-                    eprintln!("--sim-fuel needs a positive number of steps");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--check-races" => check_races = true,
-            "--engine" => match it.next().map(String::as_str) {
-                Some("legacy") => legacy_sim = true,
-                Some("decoded") => legacy_sim = false,
-                _ => {
-                    eprintln!("--engine needs legacy|decoded");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--retries" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) if n >= 1 => retry.max_attempts = n,
-                _ => {
-                    eprintln!("--retries needs a number >= 1");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--inject-faults" => inject = true,
-            "--fault-seed" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(s) => fault_seed = Some(s),
-                None => {
-                    eprintln!("--fault-seed needs a number");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--trace-out" => match it.next() {
-                Some(p) => trace_out = Some(p.clone()),
-                None => {
-                    eprintln!("--trace-out needs a path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--trace-format" => match it.next().map(String::as_str) {
-                Some(f @ ("jsonl" | "chrome")) => trace_format = f.to_string(),
-                _ => {
-                    eprintln!("--trace-format needs jsonl|chrome");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--metrics-out" => match it.next() {
-                Some(p) => metrics_out = Some(p.clone()),
-                None => {
-                    eprintln!("--metrics-out needs a path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--profile" => profile = true,
-            "--filter" => match it.next().map(|s| Filter::parse(s)) {
-                Some(Ok(f)) => filters.push(f),
-                Some(Err(e)) => {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-                None => {
-                    eprintln!("--filter needs axis=value");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--sample" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) if n > 0 => sample = Some(n),
-                _ => {
-                    eprintln!("--sample needs a number >= 1");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--sample-seed" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(s) => sample_seed = Some(s),
-                None => {
-                    eprintln!("--sample-seed needs a number");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--eager" => eager = true,
-            "--store-dir" => match it.next() {
-                Some(d) => store_dir = Some(d.clone()),
-                None => {
-                    eprintln!("--store-dir needs a directory");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--checkpoint" => match it.next() {
-                Some(p) => checkpoint_path = Some(p.clone()),
-                None => {
-                    eprintln!("--checkpoint needs a path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--checkpoint-every" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) if n >= 1 => checkpoint_every = n,
-                _ => {
-                    eprintln!("--checkpoint-every needs a number >= 1");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--resume" => match it.next() {
-                Some(p) => resume_path = Some(p.clone()),
-                None => {
-                    eprintln!("--resume needs a checkpoint path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--stop-after-units" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) if n >= 1 => stop_after = Some(n),
-                _ => {
-                    eprintln!("--stop-after-units needs a number >= 1");
-                    return ExitCode::FAILURE;
-                }
-            },
-            other => {
-                eprintln!("unknown flag `{other}`");
-                return ExitCode::FAILURE;
+    let mut it = engine_args.rest.iter().map(String::as_str);
+    while let Some(flag) = it.next() {
+        match flag {
+            "--strategy" => strategy = cli::value(flag, it.next(), "a value")?,
+            "--grid" => grid = cli::value(flag, it.next(), "a value (default|fine)")?,
+            "--budget" => budget = cli::positive(flag, it.next(), "a number >= 1")?,
+            "--seed" => seed = cli::value(flag, it.next(), "a number")?,
+            "--device" => {
+                device = it.next().and_then(device_by_name).ok_or("--device needs g80|gt200")?
             }
+            "--no-screen" => screen = false,
+            "--trace-out" => trace_out = Some(cli::value(flag, it.next(), "a path")?),
+            "--trace-format" => {
+                trace_format = match it.next() {
+                    Some(f @ ("jsonl" | "chrome")) => f.to_string(),
+                    _ => return Err("--trace-format needs jsonl|chrome".to_string()),
+                }
+            }
+            "--metrics-out" => metrics_out = Some(cli::value(flag, it.next(), "a path")?),
+            "--profile" => profile = true,
+            "--eager" => eager = true,
+            "--checkpoint" => checkpoint_path = Some(cli::value(flag, it.next(), "a path")?),
+            "--checkpoint-every" => {
+                checkpoint_every = cli::positive(flag, it.next(), "a number >= 1")?
+            }
+            "--resume" => resume_path = Some(cli::value(flag, it.next(), "a checkpoint path")?),
+            "--stop-after-units" => {
+                stop_after = Some(cli::positive(flag, it.next(), "a number >= 1")?)
+            }
+            other => return Err(format!("unknown flag `{other}`")),
         }
     }
 
-    if sample_seed.is_some() && sample.is_none() {
-        eprintln!("--sample-seed requires --sample");
-        return ExitCode::FAILURE;
-    }
     if stop_after.is_some() && checkpoint_path.is_none() && resume_path.is_none() {
-        eprintln!("--stop-after-units requires --checkpoint or --resume");
-        return ExitCode::FAILURE;
+        return Err("--stop-after-units requires --checkpoint or --resume".to_string());
     }
     // Iterative strategies carry in-flight optimizer state (walks,
     // populations, pending proposals) that the checkpoint format does
@@ -521,12 +349,11 @@ fn cmd_tune(args: &[String]) -> ExitCode {
     // restarted search.
     let iterative = zoo::NAMES.contains(&strategy.as_str());
     if iterative && (checkpoint_path.is_some() || resume_path.is_some()) {
-        eprintln!(
+        return Err(format!(
             "--strategy {strategy} is iterative and keeps optimizer state between rounds; \
              checkpoint/resume is not supported for iterative strategies — drop \
              --checkpoint/--resume"
-        );
-        return ExitCode::FAILURE;
+        ));
     }
     // A resumed run keeps checkpointing to the file it resumed from
     // unless an explicit --checkpoint redirects it.
@@ -536,45 +363,17 @@ fn cmd_tune(args: &[String]) -> ExitCode {
     // Fail on unusable export destinations *before* the search spends
     // minutes computing results those paths were meant to receive.
     for path in [&trace_out, &metrics_out, &checkpoint_path].into_iter().flatten() {
-        if let Err(e) = writable_parent(path) {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
+        cli::writable_parent(path)?;
     }
     let app: Box<dyn App> = match (app_name.as_str(), grid.as_str()) {
         (_, "default") => app_by_name(app_name).expect("validated above"),
         ("matmul", "fine") => Box::new(MatMulFine::reduced_problem()),
         (other, "fine") => {
-            eprintln!("app `{other}` declares no fine grid (only matmul does)");
-            return ExitCode::FAILURE;
+            return Err(format!("app `{other}` declares no fine grid (only matmul does)"));
         }
-        (_, other) => {
-            eprintln!("unknown grid `{other}` (default|fine)");
-            return ExitCode::FAILURE;
-        }
+        (_, other) => return Err(format!("unknown grid `{other}` (default|fine)")),
     };
-    let selection = Selection {
-        filters,
-        sample: sample.map(|count| Sample { count, seed: sample_seed.unwrap_or(0) }),
-    };
-    let fault_plan = match (inject, fault_seed) {
-        (false, None) => None,
-        (false, Some(_)) => {
-            eprintln!("--fault-seed requires --inject-faults");
-            return ExitCode::FAILURE;
-        }
-        (true, None) => Some(FaultPlan::default()),
-        (true, Some(seed)) => Some(FaultPlan::with_seed(seed)),
-    };
-    let mut engine = EvalEngine::new(EngineConfig {
-        jobs,
-        budget: eval_budget,
-        retry,
-        sim_fuel,
-        fault_plan,
-        check_races,
-        legacy_sim,
-    });
+    let mut engine = EvalEngine::new(engine_args.config);
     // Observation is opt-in: the sink only exists when some exporter
     // will consume it.
     let sink = if trace_out.is_some() || metrics_out.is_some() || profile {
@@ -589,27 +388,18 @@ fn cmd_tune(args: &[String]) -> ExitCode {
     // Durable-tuning plumbing. All status chatter goes to stderr so a
     // resumed run's stdout stays byte-identical to an uninterrupted
     // one.
-    let result_store = match &store_dir {
-        Some(dir) => match ResultStore::open(dir) {
-            Ok(st) => {
-                let st = Arc::new(st);
-                eprintln!(
-                    "result store {dir}: {} records loaded, {} dropped, {} stale (generation {})",
-                    st.records_loaded(),
-                    st.records_dropped(),
-                    st.records_stale(),
-                    st.generation(),
-                );
-                engine = engine.with_store(Arc::clone(&st));
-                Some(st)
-            }
-            Err(e) => {
-                eprintln!("cannot open result store {dir}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => None,
-    };
+    let result_store = engine_args.open_store()?;
+    if let Some(st) = &result_store {
+        eprintln!(
+            "result store {}: {} records loaded, {} dropped, {} stale (generation {})",
+            st.dir().display(),
+            st.records_loaded(),
+            st.records_dropped(),
+            st.records_stale(),
+            st.generation(),
+        );
+        engine = engine.with_store(Arc::clone(st));
+    }
     let meta = CheckpointMeta::new(
         app_name,
         &strategy,
@@ -623,19 +413,12 @@ fn cmd_tune(args: &[String]) -> ExitCode {
                 ck = ck.with_stop_after(n);
             }
             if let Some(resume) = &resume_path {
-                let loaded = match checkpoint::load(resume) {
-                    Ok(l) => l,
-                    Err(e) => {
-                        eprintln!("--resume: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
+                let loaded = checkpoint::load(resume).map_err(|e| format!("--resume: {e}"))?;
                 if loaded.meta != meta {
-                    eprintln!(
+                    return Err(format!(
                         "--resume {resume}: checkpoint belongs to a different run \
                          (app/strategy/grid/space mismatch); refusing to replay it"
-                    );
-                    return ExitCode::FAILURE;
+                    ));
                 }
                 eprintln!(
                     "resume {resume}: {} units done, {} results restored",
@@ -653,13 +436,7 @@ fn cmd_tune(args: &[String]) -> ExitCode {
         None => None,
     };
 
-    let points = match selection.apply(&space) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let points = selection.apply(&space).map_err(|e| e.to_string())?;
     if !selection.is_noop() {
         println!("selection: {selection} -> {} of {} configurations", points.len(), space.len());
         if points.is_empty() {
@@ -673,12 +450,10 @@ fn cmd_tune(args: &[String]) -> ExitCode {
         // decides which subspaces ever reach instantiation, so eager
         // materialization and up-front narrowing contradict it.
         if !selection.is_noop() {
-            eprintln!("--strategy bnb searches the full space; drop --filter/--sample");
-            return ExitCode::FAILURE;
+            return Err("--strategy bnb searches the full space; drop --filter/--sample".into());
         }
         if eager {
-            eprintln!("--strategy bnb instantiates lazily by design; drop --eager");
-            return ExitCode::FAILURE;
+            return Err("--strategy bnb instantiates lazily by design; drop --eager".to_string());
         }
         BranchAndBound.run_space(&engine, &space, &AppInstantiator(app.as_ref()), &device)
     } else if iterative {
@@ -686,8 +461,9 @@ fn cmd_tune(args: &[String]) -> ExitCode {
         // dense candidate indices they propose must line up with the
         // full space — no up-front narrowing.
         if !selection.is_noop() {
-            eprintln!("--strategy {strategy} searches the full space; drop --filter/--sample");
-            return ExitCode::FAILURE;
+            return Err(format!(
+                "--strategy {strategy} searches the full space; drop --filter/--sample"
+            ));
         }
         let mut searcher =
             zoo::by_name(&strategy, &space, budget, seed).expect("membership checked above");
@@ -704,11 +480,10 @@ fn cmd_tune(args: &[String]) -> ExitCode {
             "pareto" => Box::new(PrunedSearch { screen_bandwidth: screen, ..Default::default() }),
             "random" => Box::new(RandomSearch::new(budget, seed)),
             other => {
-                eprintln!(
+                return Err(format!(
                     "unknown strategy `{other}` \
                      (exhaustive|pareto|random|bnb|hill|anneal|genetic|surrogate)"
-                );
-                return ExitCode::FAILURE;
+                ));
             }
         };
         let mut report = if eager {
@@ -730,34 +505,19 @@ fn cmd_tune(args: &[String]) -> ExitCode {
     // results live in the checkpoint, not on stdout.
     if let Some(ck) = &checkpointer {
         if ck.should_stop() {
-            if let Some(st) = &result_store {
-                if let Err(e) = st.sync() {
-                    eprintln!("result store {}: sync failed: {e}", st.dir().display());
-                }
-            }
-            return match ck.write_now() {
-                Ok(()) => {
-                    eprintln!(
-                        "interrupted after {} units: checkpoint -> {}; continue with \
-                         --resume {1}",
-                        ck.units_done(),
-                        ck.path().display(),
-                    );
-                    ExitCode::from(130)
-                }
-                Err(e) => {
-                    eprintln!("cannot write checkpoint {}: {e}", ck.path().display());
-                    ExitCode::FAILURE
-                }
-            };
+            cli::sync_store(result_store.as_deref());
+            ck.write_now()
+                .map_err(|e| format!("cannot write checkpoint {}: {e}", ck.path().display()))?;
+            eprintln!(
+                "interrupted after {} units: checkpoint -> {}; continue with --resume {1}",
+                ck.units_done(),
+                ck.path().display(),
+            );
+            return Ok(ExitCode::from(130));
         }
     }
     print_search(&labels, &report);
-    if let Some(st) = &result_store {
-        if let Err(e) = st.sync() {
-            eprintln!("result store {}: sync failed: {e}", st.dir().display());
-        }
-    }
+    cli::sync_store(result_store.as_deref());
     if let Some(ck) = &checkpointer {
         // The run completed: the checkpoint has served its purpose and
         // a later unrelated run must not accidentally resume from it.
@@ -774,10 +534,7 @@ fn cmd_tune(args: &[String]) -> ExitCode {
                 "chrome" => chrome_trace(&trace).to_string_pretty(),
                 _ => trace.to_jsonl(),
             };
-            if let Err(e) = std::fs::write(&path, text) {
-                eprintln!("cannot write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
+            std::fs::write(&path, text).map_err(|e| format!("cannot write {path}: {e}"))?;
             println!("trace: {} events ({trace_format}) -> {path}", trace.events.len());
         }
         if let Some(path) = metrics_out {
@@ -794,17 +551,15 @@ fn cmd_tune(args: &[String]) -> ExitCode {
                     hits: report.stats.store_hits as u64,
                 });
             }
-            if let Err(e) = std::fs::write(&path, manifest.to_json().to_string_pretty()) {
-                eprintln!("cannot write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
+            std::fs::write(&path, manifest.to_json().to_string_pretty())
+                .map_err(|e| format!("cannot write {path}: {e}"))?;
             println!("manifest -> {path}");
         }
         if profile {
             println!("\nprofile:\n{}", profile_table(&report.metrics));
         }
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `store verify <dir>`: audit a persistent result store without

@@ -35,6 +35,11 @@ fn unknown_app_and_flag_fail() {
 }
 
 #[test]
+fn the_reference_engine_is_not_a_runtime_option() {
+    assert_fails(&["tune", "cp", "--engine", "legacy"], "unknown flag `--engine`");
+}
+
+#[test]
 fn budget_rejects_zero_and_garbage() {
     assert_fails(
         &["tune", "cp", "--strategy", "random", "--budget", "0"],
