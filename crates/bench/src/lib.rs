@@ -51,12 +51,6 @@ impl Comparison {
     }
 }
 
-/// Run both searches over one application on a default (sequential,
-/// unlimited) engine.
-pub fn compare(app: &dyn App, spec: &MachineSpec) -> Comparison {
-    compare_with(app, spec, &EvalEngine::default())
-}
-
 /// Run both searches over one application on an explicit engine,
 /// instantiating candidates lazily inside the engine's worker pool.
 pub fn compare_with(app: &dyn App, spec: &MachineSpec, engine: &EvalEngine) -> Comparison {

@@ -1,17 +1,18 @@
 //! Crash-safe search checkpointing and deterministic resume.
 //!
-//! A checkpoint is a snapshot of everything a search has *paid for*:
-//! the successful timing results keyed by their exact content hash,
-//! plus — for branch-and-bound — the frontier's canonical subspace
-//! bindings, the incumbent, and the completed full-grid ranks. Because
-//! candidate enumeration, memo-cache discovery order, and the bnb
-//! frontier order are all deterministic, that map is sufficient to
-//! resume: a resumed run **replays the search from the start**, with
-//! [`ReplayEval`] serving checkpointed results instantly in place of
-//! fresh simulations. Every counter, event, and report therefore comes
-//! out byte-identical to an uninterrupted run at any `--jobs` — the
-//! replay changes *where results come from*, never *what the engine
-//! does with them*.
+//! A checkpoint holds what resume reads and nothing else: the run's
+//! identity ([`CheckpointMeta`]), the work units completed, and every
+//! successful timing result keyed by its exact content hash, sorted by
+//! key. Because candidate enumeration, memo-cache discovery order, and
+//! the bnb frontier order are all deterministic, that map is sufficient
+//! to resume: a resumed run **replays the search from the start**, and
+//! the engine's dispatch stage serves each checkpointed result by the
+//! exact key it already holds in place of a fresh simulation
+//! ([`super::EvalEngine::with_replay`]). Every counter, event, and
+//! report therefore comes out byte-identical to an uninterrupted run at
+//! any `--jobs` — the replay changes *where results come from*, never
+//! *what the engine does with them*. Older files may carry a `state`
+//! field (a bnb search snapshot nothing ever read); [`load`] ignores it.
 //!
 //! # Write protocol
 //!
@@ -39,22 +40,16 @@ use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
-use gpu_arch::{MachineSpec, ResourceUsage};
-use gpu_ir::Launch;
-use gpu_sim::decode::DecodedProgram;
 use gpu_sim::timing::TimingReport;
 
-use super::cache;
-use super::error::EvalError;
 use super::store::{report_from_json, report_to_json};
-use super::TimingEval;
 use crate::obs::{json, Json};
 use crate::space::Space;
 
 /// Version stamp of the checkpoint file layout *and* of the result-key
-/// encoding its `results` are addressed by ([`cache`]): a key-encoding
+/// encoding its `results` are addressed by ([`super::cache`]): a key-encoding
 /// change bumps it, so `--resume` on an older checkpoint fails fast
 /// instead of replaying nothing. 2: canonical binary key encoding.
 pub const CHECKPOINT_SCHEMA: u64 = 2;
@@ -183,103 +178,6 @@ impl CheckpointMeta {
     }
 }
 
-/// One frontier node snapshot: its admissible bound and the canonical
-/// per-axis bindings (`None` = axis still unbound).
-#[derive(Debug, Clone, PartialEq)]
-pub struct FrontierSnapshot {
-    /// Lower bound carried by the node, in milliseconds.
-    pub bound_ms: f64,
-    /// Value-index binding per axis.
-    pub bindings: Vec<Option<usize>>,
-}
-
-/// Where the search stood when the checkpoint was taken. Replay does
-/// not *need* this — the results map alone reproduces the run — but it
-/// makes checkpoints self-describing and lets `store verify`-style
-/// tooling (and humans) see how far a run got.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct SearchState {
-    /// Full-grid rank of the current incumbent, if any.
-    pub incumbent_rank: Option<usize>,
-    /// Incumbent's scaled time in milliseconds.
-    pub incumbent_ms: Option<f64>,
-    /// Outstanding bnb frontier, in heap-drain (canonical) order.
-    pub frontier: Vec<FrontierSnapshot>,
-    /// Full-grid ranks whose candidates have completed evaluation.
-    pub completed_ranks: Vec<usize>,
-}
-
-impl SearchState {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("incumbent_rank", self.incumbent_rank.map(Json::from).unwrap_or(Json::Null)),
-            ("incumbent_ms", self.incumbent_ms.map(Json::from).unwrap_or(Json::Null)),
-            (
-                "frontier",
-                Json::Arr(
-                    self.frontier
-                        .iter()
-                        .map(|f| {
-                            Json::obj([
-                                ("bound_ms", Json::from(f.bound_ms)),
-                                (
-                                    "bindings",
-                                    Json::Arr(
-                                        f.bindings
-                                            .iter()
-                                            .map(|b| b.map(Json::from).unwrap_or(Json::Null))
-                                            .collect(),
-                                    ),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "completed_ranks",
-                Json::Arr(self.completed_ranks.iter().copied().map(Json::from).collect()),
-            ),
-        ])
-    }
-
-    fn from_json(j: &Json) -> Option<Self> {
-        let opt_usize = |key: &str| match j.get(key) {
-            None | Some(Json::Null) => Some(None),
-            Some(v) => v.as_u64().map(|u| Some(u as usize)),
-        };
-        let opt_f64 = |key: &str| match j.get(key) {
-            None | Some(Json::Null) => Some(None),
-            Some(v) => v.as_f64().map(Some),
-        };
-        let mut frontier = Vec::new();
-        for node in j.get("frontier")?.as_arr()? {
-            let bindings = node
-                .get("bindings")?
-                .as_arr()?
-                .iter()
-                .map(|b| match b {
-                    Json::Null => Some(None),
-                    v => v.as_u64().map(|u| Some(u as usize)),
-                })
-                .collect::<Option<Vec<_>>>()?;
-            frontier.push(FrontierSnapshot { bound_ms: node.get("bound_ms")?.as_f64()?, bindings });
-        }
-        let completed_ranks = j
-            .get("completed_ranks")?
-            .as_arr()?
-            .iter()
-            .map(|r| r.as_u64().map(|u| u as usize))
-            .collect::<Option<Vec<_>>>()?;
-        Some(Self {
-            incumbent_rank: opt_usize("incumbent_rank")?,
-            incumbent_ms: opt_f64("incumbent_ms")?,
-            frontier,
-            completed_ranks,
-        })
-    }
-}
-
 /// A checkpoint file parsed back into memory.
 #[derive(Debug, Clone, Default)]
 pub struct LoadedCheckpoint {
@@ -287,13 +185,12 @@ pub struct LoadedCheckpoint {
     pub meta: CheckpointMeta,
     /// Work units completed when it was written.
     pub units_done: usize,
-    /// Search progress snapshot.
-    pub state: SearchState,
     /// Successful timing results by exact content key.
     pub results: HashMap<u64, TimingReport>,
 }
 
-/// Parse a checkpoint file.
+/// Parse a checkpoint file. Only `meta`, `units_done` and `results`
+/// are read; a `state` field left by older builds is ignored.
 ///
 /// # Errors
 ///
@@ -318,7 +215,6 @@ pub fn load(path: impl AsRef<Path>) -> Result<LoadedCheckpoint, String> {
     let meta = doc.get("meta").and_then(CheckpointMeta::from_json).ok_or_else(|| bad("meta"))?;
     let units_done =
         doc.get("units_done").and_then(Json::as_u64).ok_or_else(|| bad("units_done"))? as usize;
-    let state = doc.get("state").and_then(SearchState::from_json).ok_or_else(|| bad("state"))?;
     let mut results = HashMap::new();
     for entry in doc.get("results").and_then(Json::as_arr).ok_or_else(|| bad("results"))? {
         let key = entry.get("key").and_then(Json::as_u64).ok_or_else(|| bad("result key"))?;
@@ -326,14 +222,13 @@ pub fn load(path: impl AsRef<Path>) -> Result<LoadedCheckpoint, String> {
             entry.get("report").and_then(report_from_json).ok_or_else(|| bad("result report"))?;
         results.insert(key, report);
     }
-    Ok(LoadedCheckpoint { meta, units_done, state, results })
+    Ok(LoadedCheckpoint { meta, units_done, results })
 }
 
 /// Interior state of a [`Checkpointer`].
 #[derive(Debug, Default)]
 struct Progress {
     results: HashMap<u64, TimingReport>,
-    state: SearchState,
     units_done: usize,
     units_since_write: usize,
     stopped: bool,
@@ -403,12 +298,6 @@ impl Checkpointer {
         p.results.entry(key).or_insert_with(|| report.clone());
     }
 
-    /// Replace the search-progress snapshot (bnb updates this after
-    /// each frontier batch).
-    pub fn set_search_state(&self, state: SearchState) {
-        self.progress.lock().expect("checkpoint progress poisoned").state = state;
-    }
-
     /// Count `n` completed work units, publishing a snapshot when the
     /// periodic threshold is crossed.
     ///
@@ -467,7 +356,6 @@ impl Checkpointer {
                 ("schema", Json::from(CHECKPOINT_SCHEMA)),
                 ("meta", self.meta.to_json()),
                 ("units_done", Json::from(p.units_done)),
-                ("state", p.state.to_json()),
                 ("results", Json::Arr(results)),
             ])
         };
@@ -479,60 +367,6 @@ impl Checkpointer {
             file.sync_all()?;
         }
         fs::rename(&tmp, &self.path)
-    }
-}
-
-/// A [`TimingEval`] that serves checkpointed results by exact content
-/// key and delegates everything else to the wrapped evaluator. The
-/// engine still runs its full dispatch/retry/accounting machinery — a
-/// served result is indistinguishable from a fresh simulation, which is
-/// exactly what makes resumed reports byte-identical.
-pub struct ReplayEval<'a> {
-    inner: &'a dyn TimingEval,
-    results: Arc<HashMap<u64, TimingReport>>,
-}
-
-impl<'a> ReplayEval<'a> {
-    /// Wrap `inner`, serving from `results` first.
-    pub fn new(inner: &'a dyn TimingEval, results: Arc<HashMap<u64, TimingReport>>) -> Self {
-        Self { inner, results }
-    }
-}
-
-impl TimingEval for ReplayEval<'_> {
-    fn simulate(
-        &self,
-        prog: &DecodedProgram,
-        launch: &Launch,
-        usage: &ResourceUsage,
-        spec: &MachineSpec,
-    ) -> Result<TimingReport, EvalError> {
-        match self.results.get(&cache::exact_key(&prog.source, launch, usage, spec)) {
-            Some(rep) => Ok(rep.clone()),
-            None => self.inner.simulate(prog, launch, usage, spec),
-        }
-    }
-
-    fn simulate_family(
-        &self,
-        progs: &[&DecodedProgram],
-        launch: &Launch,
-        usage: &ResourceUsage,
-        spec: &MachineSpec,
-    ) -> Option<Vec<TimingReport>> {
-        // Units are checkpointed atomically, so a family is either fully
-        // present (serve it as one "forked run", matching the original
-        // accounting) or fully absent. A partial hit — possible only
-        // with a checkpoint from some other search shape — falls through
-        // to a real family run, which returns the same reports anyway.
-        let served: Option<Vec<TimingReport>> = progs
-            .iter()
-            .map(|p| self.results.get(&cache::exact_key(&p.source, launch, usage, spec)).cloned())
-            .collect();
-        match served {
-            Some(reports) => Some(reports),
-            None => self.inner.simulate_family(progs, launch, usage, spec),
-        }
     }
 }
 
@@ -581,12 +415,6 @@ mod tests {
         let ck = Checkpointer::new(&path, 8, meta());
         ck.record(42, &report(1));
         ck.record(7, &report(2));
-        ck.set_search_state(SearchState {
-            incumbent_rank: Some(3),
-            incumbent_ms: Some(1.5),
-            frontier: vec![FrontierSnapshot { bound_ms: 0.75, bindings: vec![Some(1), None] }],
-            completed_ranks: vec![0, 3, 9],
-        });
         ck.units_finished(2).unwrap();
         ck.write_now().unwrap();
 
@@ -596,10 +424,6 @@ mod tests {
         assert_eq!(loaded.results.len(), 2);
         assert_eq!(loaded.results[&42], report(1));
         assert_eq!(loaded.results[&7], report(2));
-        assert_eq!(loaded.state.incumbent_rank, Some(3));
-        assert_eq!(loaded.state.frontier.len(), 1);
-        assert_eq!(loaded.state.frontier[0].bindings, vec![Some(1), None]);
-        assert_eq!(loaded.state.completed_ranks, vec![0, 3, 9]);
         std::fs::remove_file(&path).unwrap();
     }
 

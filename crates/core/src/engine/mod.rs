@@ -28,6 +28,15 @@
 //!   members and branch-and-bound probe corners sharing one masked
 //!   structure share one decode (keyed by class hash, shared across
 //!   engine clones).
+//! * **Result sources** — before anything is dispatched, a unique is
+//!   served by the search-scoped memo (branch-and-bound batches), then
+//!   by the persistent result store ([`store`]); what is left is
+//!   dispatched, where a resumed run's checkpointed result
+//!   ([`checkpoint`]) is served by exact key in place of a simulation
+//!   and accounted as one. [`EvalEngine::simulate_selected`] runs as
+//!   named stages — prepare, dedup + decode, resolve, plan units,
+//!   dispatch, settle, reassemble — and the resolve stage's doc states
+//!   that order once.
 //! * **Budget** — optional caps on unique simulations and on accumulated
 //!   simulated milliseconds ([`budget`]), applied deterministically and
 //!   recorded in the search report's [`EngineStats`].
@@ -57,7 +66,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use gpu_arch::{MachineSpec, ResourceUsage};
-use gpu_ir::linear::linearize;
+use gpu_ir::linear::{linearize, LinearProgram};
 use gpu_ir::Launch;
 use gpu_sim::decode::{DecodedArena, DecodedProgram};
 use gpu_sim::timing::TimingReport;
@@ -69,8 +78,8 @@ use crate::space::CandidateSource;
 
 pub use budget::EvalBudget;
 pub use checkpoint::{
-    install_signal_handler, interrupted, CheckpointMeta, Checkpointer, FrontierSnapshot,
-    LoadedCheckpoint, ReplayEval, SearchState, CHECKPOINT_SCHEMA, DEFAULT_CHECKPOINT_EVERY,
+    install_signal_handler, interrupted, CheckpointMeta, Checkpointer, LoadedCheckpoint,
+    CHECKPOINT_SCHEMA, DEFAULT_CHECKPOINT_EVERY,
 };
 pub use error::{EvalError, EvalErrorKind, Quarantine};
 pub use fault::{FaultPlan, InjectedFault};
@@ -337,9 +346,9 @@ pub struct EvalEngine {
     /// Optional checkpoint accumulator: completed results are recorded
     /// after each dispatch chunk and snapshots published every N units.
     checkpoint: Option<Arc<checkpoint::Checkpointer>>,
-    /// Optional resume map: when set, the timing evaluator is wrapped in
-    /// a [`checkpoint::ReplayEval`] serving these results in place of
-    /// fresh simulations, so a resumed search replays byte-identically.
+    /// Optional resume map (a loaded checkpoint's results): dispatch
+    /// serves a unique held here by its exact key in place of a fresh
+    /// simulation, so a resumed search replays byte-identically.
     replay: Option<Arc<HashMap<u64, TimingReport>>>,
     /// Always-on convergence recorder, fed from the single-threaded
     /// result-reassembly loop (so the curve is deterministic at any
@@ -368,6 +377,22 @@ struct UniqueSim {
     usage: ResourceUsage,
     exact: u64,
     class: cache::ClassKey,
+}
+
+/// What the prepare stage computes for one selected candidate on the
+/// pool: linearized program, launch, invocations, exact and class keys.
+type Prepared = (LinearProgram, Launch, u32, u64, cache::ClassKey);
+
+/// Where one unique's result stands during a timing phase.
+enum Resolution {
+    /// Not dispatched (yet); stays so when budget-truncated or stopped.
+    Pending,
+    /// Served without dispatch by the search memo or the result store:
+    /// this run spent no simulation, fuel or cycles on it.
+    Served(TimingReport),
+    /// Came back from dispatch — a fresh simulation or a checkpoint
+    /// replay — on attempt `attempts`.
+    Ran { result: Result<TimingReport, EvalError>, attempts: u32 },
 }
 
 /// A unit of simulation work dispatched to the pool.
@@ -447,9 +472,11 @@ impl EvalEngine {
         self.checkpoint.as_ref()
     }
 
-    /// Attach a resume map (a loaded checkpoint's results): every timing
-    /// evaluation is first looked up here by exact content key, so the
-    /// resumed search replays the original byte-identically.
+    /// Attach a resume map (a loaded checkpoint's results): a dispatched
+    /// unique held here is served by its exact content key instead of
+    /// being simulated, and is accounted exactly like the simulation it
+    /// replaces, so the resumed search replays the original
+    /// byte-identically.
     pub fn with_replay(mut self, results: Arc<HashMap<u64, TimingReport>>) -> Self {
         self.replay = Some(results);
         self
@@ -579,7 +606,6 @@ impl EvalEngine {
                 // unchanged.
                 Err(EvalError::ResourceExceeded { .. }) => None,
                 Err(e) => {
-                    stats.quarantined += 1;
                     let label = source.label(i);
                     if e.kind() == EvalErrorKind::Race {
                         // Race findings get their own verify-stage event
@@ -595,23 +621,8 @@ impl EvalEngine {
                             ],
                         );
                     }
-                    self.emit(
-                        EventKind::Point,
-                        "quarantine",
-                        vec![
-                            ("phase", Json::from("static")),
-                            ("candidate", Json::from(i)),
-                            ("label", Json::from(label.as_str())),
-                            ("kind", Json::from(e.kind().to_string())),
-                            ("attempts", Json::from(attempts[i])),
-                        ],
-                    );
-                    quarantine.push(Quarantine {
-                        candidate: i,
-                        label,
-                        error: e,
-                        attempts: attempts[i],
-                    });
+                    let q = Quarantine { candidate: i, label, error: e, attempts: attempts[i] };
+                    self.quarantine("static", q, stats, quarantine);
                     None
                 }
             })
@@ -637,6 +648,9 @@ impl EvalEngine {
     /// evaluation); invalid ones are skipped. Candidates whose
     /// simulation fails permanently (or exhausts its retries) are
     /// appended to `quarantine` and stay `None` in the output.
+    ///
+    /// The phase runs as named private stages: `prepare`, `dedup`,
+    /// `resolve`, `plan_units`, `dispatch`, `settle` and `reassemble`.
     // The two-phase search protocol genuinely threads this much state:
     // evaluator, space, static results, selection, machine, and the two
     // mutable accounting sinks.
@@ -658,31 +672,50 @@ impl EvalEngine {
         // at the end of the phase must work on this call's deltas.
         let (timed_at_entry, unique_at_entry, store_at_entry) =
             (stats.timed, stats.unique_sims, stats.store_hits);
-        let mut simulated: Vec<Option<TimingReport>> = vec![None; source.len()];
-        let plan = self.config.fault_plan;
 
-        // Resume: wrap the evaluator so checkpointed results are served
-        // in place of fresh simulations. Everything downstream — unit
-        // grouping, retry rounds, accounting, events — is oblivious to
-        // where a result came from, which is what makes a resumed run
-        // byte-identical to an uninterrupted one.
-        let replay_holder;
-        let eval: &dyn TimingEval = match &self.replay {
-            Some(map) => {
-                replay_holder = checkpoint::ReplayEval::new(eval, Arc::clone(map));
-                &replay_holder
-            }
-            None => eval,
-        };
+        let prepared = self.prepare(source, statics, selected, spec);
+        let (uniques, assignments) = self.dedup(source, prepared, stats, quarantine);
+        let mut resolved = self.resolve(&uniques, stats);
+        let units = self.plan_units(&uniques, &resolved, stats);
+        self.dispatch(eval, spec, &uniques, units, &mut resolved, stats);
+        self.settle(&uniques, &resolved, stats);
+        let simulated = self.reassemble(source, assignments, &resolved, stats, quarantine);
 
-        // Phase 1a: instantiate, linearize and key the selected
-        // candidates on the worker pool. For an eager slice source this
-        // merely borrows; for a lazy point source this is where kernel
-        // generation and the pass pipelines actually run — inside the
-        // pool, never materialized up front. The spec's share of every
-        // key is hashed once, here. Pool dispatch emits only
-        // Runtime-scope events, so the canonical (Search-scope) trace is
-        // unchanged.
+        // Every timed candidate was served by exactly one of: a fresh
+        // simulation, a store hit, or memo-cache sharing (within this
+        // call or from the search memo) — the remainder after
+        // subtracting the first two is the cache-hit count.
+        stats.cache_hits += (stats.timed - timed_at_entry)
+            .saturating_sub(stats.unique_sims - unique_at_entry)
+            .saturating_sub(stats.store_hits - store_at_entry);
+        self.emit(
+            EventKind::End,
+            "phase.timing",
+            vec![
+                ("timed", Json::from(stats.timed)),
+                ("unique_sims", Json::from(stats.unique_sims)),
+            ],
+        );
+        if let Some(sink) = &self.sink {
+            sink.add_phase_wall_us(Phase::Timing, phase_started.elapsed().as_micros() as u64);
+        }
+        simulated
+    }
+
+    /// Prepare stage: instantiate, linearize and key the valid selected
+    /// candidates on the worker pool. For an eager slice source this
+    /// merely borrows; for a lazy point source this is where kernel
+    /// generation and the pass pipelines actually run — inside the
+    /// pool, never materialized up front. The spec's share of every key
+    /// is hashed once, here. Pool dispatch emits only Runtime-scope
+    /// events, so the canonical (Search-scope) trace is unchanged.
+    fn prepare(
+        &self,
+        source: &dyn CandidateSource,
+        statics: &[Option<Evaluated>],
+        selected: &[usize],
+        spec: &MachineSpec,
+    ) -> Vec<(usize, ResourceUsage, Result<Prepared, PoolError>)> {
         let eligible: Vec<(usize, ResourceUsage)> = selected
             .iter()
             .filter_map(|&i| Some((i, statics.get(i)?.as_ref()?.kernel_profile.usage)))
@@ -709,36 +742,33 @@ impl EvalEngine {
             observer,
             "timing",
         );
+        eligible.into_iter().zip(prepared).map(|((i, usage), p)| (i, usage, p)).collect()
+    }
 
-        // Phase 1b: deduplicate by the keys the workers computed.
-        // `uniques` keeps discovery order, which makes every later
-        // ordering decision deterministic.
+    /// Dedup + decode stage: merge candidates by the exact keys the
+    /// workers computed and decode each new unique once per masked
+    /// structure. `uniques` keeps discovery order, which makes every
+    /// later ordering decision deterministic. A candidate whose prepare
+    /// worker died (a panicking generator, say) never reaches dedup and
+    /// is quarantined here as worker-lost. Returns the uniques and the
+    /// `(candidate, unique, invocations)` assignments.
+    fn dedup(
+        &self,
+        source: &dyn CandidateSource,
+        prepared: Vec<(usize, ResourceUsage, Result<Prepared, PoolError>)>,
+        stats: &mut EngineStats,
+        quarantine: &mut Vec<Quarantine>,
+    ) -> (Vec<UniqueSim>, Vec<(usize, usize, u32)>) {
         let mut unique_of: HashMap<u64, usize> = HashMap::new();
         let mut uniques: Vec<UniqueSim> = Vec::new();
-        // (candidate, unique, invocations)
         let mut assignments: Vec<(usize, usize, u32)> = Vec::new();
-        for (&(i, usage), prep) in eligible.iter().zip(prepared) {
+        for (i, usage, prep) in prepared {
             let (prog, launch, invocations, exact, class) = match prep {
                 Ok(p) => p,
-                // The prepare worker died (a panicking generator, say):
-                // the candidate never reaches dedup, so quarantine it
-                // here as worker-lost.
                 Err(perr) => {
-                    let err = pool_to_eval(perr);
-                    stats.quarantined += 1;
-                    let label = source.label(i);
-                    self.emit(
-                        EventKind::Point,
-                        "quarantine",
-                        vec![
-                            ("phase", Json::from("timing")),
-                            ("candidate", Json::from(i)),
-                            ("label", Json::from(label.as_str())),
-                            ("kind", Json::from(err.kind().to_string())),
-                            ("attempts", Json::from(1u32)),
-                        ],
-                    );
-                    quarantine.push(Quarantine { candidate: i, label, error: err, attempts: 1 });
+                    let error = pool_to_eval(perr);
+                    let q = Quarantine { candidate: i, label: source.label(i), error, attempts: 1 };
+                    self.quarantine("timing", q, stats, quarantine);
                     continue;
                 }
             };
@@ -787,31 +817,37 @@ impl EvalEngine {
             }
             assignments.push((i, u, invocations));
         }
+        (uniques, assignments)
+    }
 
-        // Phase 1c: consult the search memo, then the persistent result
-        // store, before anything is scheduled. A resolved unique never
-        // becomes a work unit — on a fully warm store the pool
-        // dispatches nothing. Replayed keys are exempt from the store: a
-        // resume must account them exactly as the original run did
-        // (fresh simulations), or the resumed report would drift from
-        // the uninterrupted one. The memo needs no exemption, because a
-        // resumed search fills it exactly as the original did.
-        let mut outcomes_of: Vec<Option<Result<TimingReport, EvalError>>> =
-            (0..uniques.len()).map(|_| None).collect();
-        let mut resolved: Vec<bool> = vec![false; uniques.len()];
+    /// Resolve stage: serve what needs no dispatch, in one order — the
+    /// search memo first, then the persistent result store unless the
+    /// replay map holds the key. Whatever is left is dispatched, where
+    /// a replayed key is served by [`run_unit`] in place of a fresh
+    /// simulation. A replayed key skips the store because a resume must
+    /// account it exactly as the original run did (a fresh simulation),
+    /// or the resumed report would drift from the uninterrupted one; the
+    /// memo needs no exemption, because a resumed search fills it
+    /// exactly as the original did. Every `memo.hit` is emitted before
+    /// every `store.hit`, each in discovery order. A served unique
+    /// never becomes a work unit, so on a fully warm store the pool
+    /// dispatches nothing.
+    fn resolve(&self, uniques: &[UniqueSim], stats: &mut EngineStats) -> Vec<Resolution> {
+        let mut resolved: Vec<Resolution> = uniques.iter().map(|_| Resolution::Pending).collect();
         if let Some(memo) = &self.search_memo {
             let memo = memo.lock().expect("search memo poisoned");
             for (u, uq) in uniques.iter().enumerate() {
                 if let Some(rep) = memo.get(&uq.exact) {
                     self.emit(EventKind::Point, "memo.hit", vec![("unique", Json::from(u))]);
-                    outcomes_of[u] = Some(Ok(rep.clone()));
-                    resolved[u] = true;
+                    resolved[u] = Resolution::Served(rep.clone());
                 }
             }
         }
         if let Some(store) = &self.store {
             for (u, uq) in uniques.iter().enumerate() {
-                if resolved[u] || self.replay.as_ref().is_some_and(|r| r.contains_key(&uq.exact)) {
+                if !matches!(resolved[u], Resolution::Pending)
+                    || self.replay.as_ref().is_some_and(|r| r.contains_key(&uq.exact))
+                {
                     continue;
                 }
                 let read_started = Instant::now();
@@ -825,22 +861,30 @@ impl EvalEngine {
                 if let Some(rep) = cached {
                     stats.store_hits += 1;
                     self.emit(EventKind::Point, "store.hit", vec![("unique", Json::from(u))]);
-                    outcomes_of[u] = Some(Ok(rep));
-                    resolved[u] = true;
+                    resolved[u] = Resolution::Served(rep);
                 }
             }
         }
+        resolved
+    }
 
-        // Phase 2: group uniques by class into work units. Members may
-        // differ in any number of top-level trip counts — the forked run
-        // varies every differing axis. A class containing a
-        // fault-injected member degrades to singles, so one failure
-        // cannot poison the rest of its family through the shared forked
-        // run.
+    /// Plan stage: group the pending uniques by class into work units,
+    /// then apply the `max_sims` half of the budget by dropping whole
+    /// units past the cap, in discovery order. Members may differ in
+    /// any number of top-level trip counts — the forked run varies every
+    /// differing axis. A class containing a fault-injected member
+    /// degrades to singles, so one failure cannot poison the rest of
+    /// its family through the shared forked run.
+    fn plan_units(
+        &self,
+        uniques: &[UniqueSim],
+        resolved: &[Resolution],
+        stats: &mut EngineStats,
+    ) -> Vec<WorkUnit> {
         let mut group_of: HashMap<u64, usize> = HashMap::new();
         let mut groups: Vec<Vec<usize>> = Vec::new();
         for (u, uq) in uniques.iter().enumerate() {
-            if resolved[u] {
+            if !matches!(resolved[u], Resolution::Pending) {
                 continue;
             }
             let hash = uq.class.hash;
@@ -852,6 +896,7 @@ impl EvalEngine {
                 }
             }
         }
+        let plan = self.config.fault_plan;
         let mut units: Vec<WorkUnit> = Vec::new();
         for members in groups {
             if members.len() == 1 {
@@ -872,9 +917,6 @@ impl EvalEngine {
                 units.extend(members.into_iter().map(WorkUnit::Single));
             }
         }
-
-        // Phase 3: the `max_sims` half of the budget — drop whole units
-        // past the cap, in discovery order.
         if let Some(cap) = self.config.budget.max_sims {
             if units.len() > cap {
                 self.emit(
@@ -886,23 +928,35 @@ impl EvalEngine {
                 stats.budget_truncated = true;
             }
         }
+        units
+    }
 
-        // Phase 4: run the units on the pool in deterministic retry
-        // rounds. Round 1 dispatches every unit; each later round
-        // re-dispatches (as singles) only the uniques whose failure was
-        // transient, until the retry policy is exhausted. Failed results
-        // are never stored as reusable cache entries — a retried unique
-        // is always re-simulated from scratch.
+    /// Dispatch stage: run the units on the pool in deterministic retry
+    /// rounds. Round 1 dispatches every unit; each later round
+    /// re-dispatches (as singles) only the uniques whose failure was
+    /// transient, until the retry policy is exhausted. A retried unique
+    /// is always re-simulated from scratch. With a checkpointer
+    /// attached, dispatch runs in chunks of its write interval: the
+    /// unit list is fixed and units are independent, so outcomes are
+    /// identical at any chunk size, and the chunk boundaries are where
+    /// completed results are recorded, snapshots published, and
+    /// interruption observed. Undispatched units stay
+    /// [`Resolution::Pending`].
+    fn dispatch(
+        &self,
+        eval: &dyn TimingEval,
+        spec: &MachineSpec,
+        uniques: &[UniqueSim],
+        units: Vec<WorkUnit>,
+        resolved: &mut [Resolution],
+        stats: &mut EngineStats,
+    ) {
+        let plan = self.config.fault_plan;
+        let replay = self.replay.as_deref();
         let max_attempts = self.config.retry.max_attempts.max(1);
-        let mut attempts_of: Vec<u32> = vec![0; uniques.len()];
+        let chunk = self.checkpoint.as_ref().map_or(usize::MAX, |ck| ck.every().max(1));
         let mut round_units = units;
         let mut attempt: u32 = 1;
-        // Dispatch in chunks when a checkpointer is attached. The unit
-        // list is fixed before dispatch and units are independent, so
-        // outcomes are identical at any chunk size — chunking only
-        // creates the between-chunk points where completed results are
-        // recorded, snapshots published, and interruption observed.
-        let chunk = self.checkpoint.as_ref().map_or(usize::MAX, |ck| ck.every().max(1));
         'rounds: while !round_units.is_empty() {
             if attempt >= 2 {
                 self.emit(
@@ -925,14 +979,9 @@ impl EvalEngine {
                     end - start,
                     |k| {
                         let sim_started = Instant::now();
-                        let out = run_unit(
-                            &round_units[start + k],
-                            &uniques,
-                            eval,
-                            spec,
-                            plan.as_ref(),
-                            attempt,
-                        );
+                        let unit = &round_units[start + k];
+                        let out =
+                            run_unit(unit, uniques, eval, replay, spec, plan.as_ref(), attempt);
                         if let Some(sink) = observer {
                             sink.record_latency(
                                 LatencyLane::Sim,
@@ -945,16 +994,16 @@ impl EvalEngine {
                     "timing",
                 );
                 for (k, pooled) in outcomes.into_iter().enumerate() {
-                    let k = start + k;
-                    match pooled {
+                    let unit = &round_units[start + k];
+                    let reports = match pooled {
                         Ok((reports, sims_run, injected)) => {
                             stats.unique_sims += sims_run;
                             stats.injected_faults += injected;
                             // A family unit that came back from a single
                             // forked run actually collapsed its members —
-                            // count the collapse (a degraded family runs its
-                            // members individually and is not a fork).
-                            if let WorkUnit::Family(members) = &round_units[k] {
+                            // count the collapse (a degraded family runs
+                            // its members individually and is not a fork).
+                            if let WorkUnit::Family(members) = unit {
                                 if sims_run == 1 {
                                     stats.family_forks += 1;
                                     stats.family_members += members.len();
@@ -965,34 +1014,26 @@ impl EvalEngine {
                                     );
                                 }
                             }
-                            for (u, r) in reports {
-                                attempts_of[u] = attempt;
-                                if matches!(&r, Err(e) if e.is_transient())
-                                    && attempt < max_attempts
-                                {
-                                    retry.push(u);
-                                }
-                                outcomes_of[u] = Some(r);
-                            }
+                            reports
                         }
-                        // The whole unit's worker vanished: every member is
-                        // transiently lost.
+                        // The whole unit's worker vanished: every member
+                        // is transiently lost.
                         Err(perr) => {
                             let err = pool_to_eval(perr);
-                            for &u in round_units[k].members() {
-                                attempts_of[u] = attempt;
-                                if attempt < max_attempts {
-                                    retry.push(u);
-                                }
-                                outcomes_of[u] = Some(Err(err.clone()));
-                            }
+                            unit.members().iter().map(|&u| (u, Err(err.clone()))).collect()
                         }
+                    };
+                    for (u, result) in reports {
+                        if matches!(&result, Err(e) if e.is_transient()) && attempt < max_attempts {
+                            retry.push(u);
+                        }
+                        resolved[u] = Resolution::Ran { result, attempts: attempt };
                     }
                 }
                 if let Some(ck) = &self.checkpoint {
                     for unit in &round_units[start..end] {
                         for &u in unit.members() {
-                            if let Some(Ok(rep)) = &outcomes_of[u] {
+                            if let Resolution::Ran { result: Ok(rep), .. } = &resolved[u] {
                                 ck.record(uniques[u].exact, rep);
                             }
                         }
@@ -1001,9 +1042,9 @@ impl EvalEngine {
                         eprintln!("checkpoint {}: periodic write failed: {e}", ck.path().display());
                     }
                     if ck.should_stop() {
-                        // Stop scheduling; undispatched units stay None
-                        // (treated like budget-truncated work). The CLI
-                        // publishes the final snapshot and exits.
+                        // Stop scheduling; undispatched units stay
+                        // pending (treated like budget-truncated work).
+                        // The CLI publishes the final snapshot and exits.
                         break 'rounds;
                     }
                 }
@@ -1015,18 +1056,40 @@ impl EvalEngine {
             round_units = retry.into_iter().map(WorkUnit::Single).collect();
             attempt += 1;
         }
+    }
 
-        // Persist this call's fresh successes write-behind. Failures are
-        // never stored, mirroring the memo cache's rule.
-        if let Some(store) = &self.store {
-            let write_started = Instant::now();
-            for (u, uq) in uniques.iter().enumerate() {
-                if !resolved[u] {
-                    if let Some(Ok(rep)) = &outcomes_of[u] {
-                        store.put(uq.exact, rep);
-                    }
-                }
+    /// Settle stage, one pass over the uniques: every success joins the
+    /// search memo; a dispatched success is also persisted to the store
+    /// (write-behind, flushed once at the end) and charged to the fuel,
+    /// cycle and stall counters. That accounting is per unique run,
+    /// pre-scaling, so it is independent of how many candidates share
+    /// each entry; served results cost this run nothing. Failures are
+    /// never remembered, so a retried unique is always re-simulated.
+    fn settle(&self, uniques: &[UniqueSim], resolved: &[Resolution], stats: &mut EngineStats) {
+        let write_started = Instant::now();
+        let mut memo = self.search_memo.as_ref().map(|m| m.lock().expect("search memo poisoned"));
+        for (uq, res) in uniques.iter().zip(resolved) {
+            let (Resolution::Served(rep) | Resolution::Ran { result: Ok(rep), .. }) = res else {
+                continue;
+            };
+            if let Some(memo) = memo.as_mut() {
+                memo.entry(uq.exact).or_insert_with(|| rep.clone());
             }
+            if matches!(res, Resolution::Served(_)) {
+                continue;
+            }
+            if let Some(store) = &self.store {
+                store.put(uq.exact, rep);
+            }
+            stats.fuel_consumed += rep.steps;
+            stats.sim_cycles += rep.total_cycles;
+            stats.stall_mem_cycles += rep.stall_mem_cycles;
+            stats.stall_sfu_cycles += rep.stall_sfu_cycles;
+            stats.stall_arith_cycles += rep.stall_arith_cycles;
+            stats.stall_other_cycles += rep.stall_other_cycles;
+        }
+        drop(memo);
+        if let Some(store) = &self.store {
             if let Err(e) = store.flush() {
                 eprintln!("result store {}: flush failed: {e}", store.dir().display());
             }
@@ -1037,120 +1100,93 @@ impl EvalEngine {
                 );
             }
         }
+    }
 
-        // Remember every success for the rest of the search, under the
-        // same rule as the store.
-        if let Some(memo) = &self.search_memo {
-            let mut memo = memo.lock().expect("search memo poisoned");
-            for (uq, out) in uniques.iter().zip(&outcomes_of) {
-                if let Some(Ok(rep)) = out {
-                    memo.entry(uq.exact).or_insert_with(|| rep.clone());
-                }
-            }
-        }
-
-        // Simulator-side accounting is per *unique* run, pre-scaling, so
-        // it is independent of how many candidates share each entry.
-        // Memo- and store-served results are excluded: this run burned
-        // no fuel or cycles on them.
-        for (u, out) in outcomes_of.iter().enumerate() {
-            let Some(Ok(rep)) = out else { continue };
-            if resolved[u] {
-                continue;
-            }
-            stats.fuel_consumed += rep.steps;
-            stats.sim_cycles += rep.total_cycles;
-            stats.stall_mem_cycles += rep.stall_mem_cycles;
-            stats.stall_sfu_cycles += rep.stall_sfu_cycles;
-            stats.stall_arith_cycles += rep.stall_arith_cycles;
-            stats.stall_other_cycles += rep.stall_other_cycles;
-        }
-
-        // Phase 5: reassemble per candidate in index order, applying
-        // invocation scaling and the simulated-time deadline. Failures
-        // quarantine every candidate mapped to the failed unique.
+    /// Reassemble stage: per candidate in index order, apply invocation
+    /// scaling and the simulated-time deadline and feed the convergence
+    /// recorder. A failed unique quarantines every candidate mapped to
+    /// it; a pending one (budget-truncated or stopped before dispatch)
+    /// leaves its candidates unevaluated, not quarantined.
+    fn reassemble(
+        &self,
+        source: &dyn CandidateSource,
+        mut assignments: Vec<(usize, usize, u32)>,
+        resolved: &[Resolution],
+        stats: &mut EngineStats,
+        quarantine: &mut Vec<Quarantine>,
+    ) -> Vec<Option<TimingReport>> {
+        let mut simulated: Vec<Option<TimingReport>> = vec![None; source.len()];
         assignments.sort_by_key(|&(i, _, _)| i);
         let mut meter = budget::DeadlineMeter::new(&self.config.budget);
         // Uniques whose first accepted candidate already advanced the
         // convergence recorder's fresh-simulation count.
         let mut fresh_counted: HashSet<usize> = HashSet::new();
         for (i, u, invocations) in assignments {
-            match &outcomes_of[u] {
-                // Budget-truncated before dispatch: not evaluated, not
-                // quarantined.
-                None => {}
-                Some(Ok(rep)) => {
-                    let scaled = scale_by_invocations(rep.clone(), invocations);
-                    if meter.accept(scaled.time_ms) {
-                        stats.timed += 1;
-                        let fresh = !resolved[u] && fresh_counted.insert(u);
-                        self.convergence.observe(
-                            stats.timed as u64,
-                            fresh,
-                            scaled.time_ms,
-                            stats.bound_pruned_points as u64,
-                        );
-                        self.emit(
-                            EventKind::Point,
-                            "sim.done",
-                            vec![
-                                ("candidate", Json::from(i)),
-                                ("unique", Json::from(u)),
-                                ("time_ms", Json::from(scaled.time_ms)),
-                            ],
-                        );
-                        simulated[i] = Some(scaled);
-                    } else {
-                        self.emit(
-                            EventKind::Point,
-                            "budget.deadline",
-                            vec![("candidate", Json::from(i))],
-                        );
-                        stats.budget_truncated = true;
-                    }
-                }
-                Some(Err(e)) => {
-                    stats.quarantined += 1;
-                    let label = source.label(i);
-                    self.emit(
-                        EventKind::Point,
-                        "quarantine",
-                        vec![
-                            ("phase", Json::from("timing")),
-                            ("candidate", Json::from(i)),
-                            ("label", Json::from(label.as_str())),
-                            ("kind", Json::from(e.kind().to_string())),
-                            ("attempts", Json::from(attempts_of[u])),
-                        ],
-                    );
-                    quarantine.push(Quarantine {
+            let rep = match &resolved[u] {
+                Resolution::Pending => continue,
+                Resolution::Served(rep) | Resolution::Ran { result: Ok(rep), .. } => rep,
+                Resolution::Ran { result: Err(e), attempts } => {
+                    let q = Quarantine {
                         candidate: i,
-                        label,
+                        label: source.label(i),
                         error: e.clone(),
-                        attempts: attempts_of[u],
-                    });
+                        attempts: *attempts,
+                    };
+                    self.quarantine("timing", q, stats, quarantine);
+                    continue;
                 }
+            };
+            let scaled = scale_by_invocations(rep.clone(), invocations);
+            if meter.accept(scaled.time_ms) {
+                stats.timed += 1;
+                let fresh =
+                    matches!(resolved[u], Resolution::Ran { .. }) && fresh_counted.insert(u);
+                self.convergence.observe(
+                    stats.timed as u64,
+                    fresh,
+                    scaled.time_ms,
+                    stats.bound_pruned_points as u64,
+                );
+                self.emit(
+                    EventKind::Point,
+                    "sim.done",
+                    vec![
+                        ("candidate", Json::from(i)),
+                        ("unique", Json::from(u)),
+                        ("time_ms", Json::from(scaled.time_ms)),
+                    ],
+                );
+                simulated[i] = Some(scaled);
+            } else {
+                self.emit(EventKind::Point, "budget.deadline", vec![("candidate", Json::from(i))]);
+                stats.budget_truncated = true;
             }
         }
-        // Every timed candidate was served by exactly one of: a fresh
-        // simulation, a store hit, or memo-cache sharing (within this
-        // call or from the search memo) — the remainder after
-        // subtracting the first two is the cache-hit count.
-        stats.cache_hits += (stats.timed - timed_at_entry)
-            .saturating_sub(stats.unique_sims - unique_at_entry)
-            .saturating_sub(stats.store_hits - store_at_entry);
+        simulated
+    }
+
+    /// Count a permanent failure, emit its `quarantine` event, and
+    /// append it to `out`.
+    fn quarantine(
+        &self,
+        phase: &'static str,
+        q: Quarantine,
+        stats: &mut EngineStats,
+        out: &mut Vec<Quarantine>,
+    ) {
+        stats.quarantined += 1;
         self.emit(
-            EventKind::End,
-            "phase.timing",
+            EventKind::Point,
+            "quarantine",
             vec![
-                ("timed", Json::from(stats.timed)),
-                ("unique_sims", Json::from(stats.unique_sims)),
+                ("phase", Json::from(phase)),
+                ("candidate", Json::from(q.candidate)),
+                ("label", Json::from(q.label.as_str())),
+                ("kind", Json::from(q.error.kind().to_string())),
+                ("attempts", Json::from(q.attempts)),
             ],
         );
-        if let Some(sink) = &self.sink {
-            sink.add_phase_wall_us(Phase::Timing, phase_started.elapsed().as_micros() as u64);
-        }
-        simulated
+        out.push(q);
     }
 }
 
@@ -1292,15 +1328,26 @@ impl EvalEngine {
 /// and faults injected.
 type UnitOutcome = (Vec<(usize, Result<TimingReport, EvalError>)>, usize, usize);
 
-/// Execute one work unit.
+/// Execute one work unit. A unique the replay map holds is served by
+/// its exact key in place of a simulation — after the fault-plan check,
+/// and counted as the simulation it replaces. A family is served whole
+/// or not at all: units are checkpointed atomically, so a partial hit
+/// is possible only with a checkpoint from some other search shape, and
+/// it falls back to a real family run, which returns the same reports.
 fn run_unit(
     unit: &WorkUnit,
     uniques: &[UniqueSim],
     eval: &dyn TimingEval,
+    replay: Option<&HashMap<u64, TimingReport>>,
     spec: &MachineSpec,
     plan: Option<&FaultPlan>,
     attempt: u32,
 ) -> UnitOutcome {
+    let replayed = |uq: &UniqueSim| replay.and_then(|r| r.get(&uq.exact)).cloned();
+    let simulate = |uq: &UniqueSim| match replayed(uq) {
+        Some(rep) => Ok(rep),
+        None => eval.simulate(&uq.prog, &uq.launch, &uq.usage, spec),
+    };
     match unit {
         WorkUnit::Single(u) => {
             let uq = &uniques[*u];
@@ -1310,12 +1357,18 @@ fn run_unit(
                     return (vec![(*u, Err(err))], 0, 1);
                 }
             }
-            (vec![(*u, eval.simulate(&uq.prog, &uq.launch, &uq.usage, spec))], 1, 0)
+            (vec![(*u, simulate(uq))], 1, 0)
         }
         WorkUnit::Family(members) => {
             let first = &uniques[members[0]];
-            let progs: Vec<&DecodedProgram> = members.iter().map(|&m| &uniques[m].prog).collect();
-            match eval.simulate_family(&progs, &first.launch, &first.usage, spec) {
+            let served: Option<Vec<TimingReport>> =
+                members.iter().map(|&m| replayed(&uniques[m])).collect();
+            let forked = served.or_else(|| {
+                let progs: Vec<&DecodedProgram> =
+                    members.iter().map(|&m| &uniques[m].prog).collect();
+                eval.simulate_family(&progs, &first.launch, &first.usage, spec)
+            });
+            match forked {
                 Some(reports) => {
                     (members.iter().copied().zip(reports.into_iter().map(Ok)).collect(), 1, 0)
                 }
@@ -1323,13 +1376,7 @@ fn run_unit(
                 // families, or the shared run failed: simulate each
                 // member on its own, attributing failures individually.
                 None => (
-                    members
-                        .iter()
-                        .map(|&m| {
-                            let uq = &uniques[m];
-                            (m, eval.simulate(&uq.prog, &uq.launch, &uq.usage, spec))
-                        })
-                        .collect(),
+                    members.iter().map(|&m| (m, simulate(&uniques[m]))).collect(),
                     members.len(),
                     0,
                 ),
@@ -1356,7 +1403,7 @@ mod tests {
     use gpu_ir::build::KernelBuilder;
     use gpu_ir::{Dim, Kernel};
 
-    fn g80() -> MachineSpec {
+    pub(super) fn g80() -> MachineSpec {
         MachineSpec::geforce_8800_gtx()
     }
 
@@ -1374,7 +1421,7 @@ mod tests {
         b.finish()
     }
 
-    fn candidate(trips: u32, work: u32, invocations: u32) -> Candidate {
+    pub(super) fn candidate(trips: u32, work: u32, invocations: u32) -> Candidate {
         Candidate::new(
             format!("t{trips}/w{work}/i{invocations}"),
             loop_kernel(trips, work),
@@ -1383,7 +1430,7 @@ mod tests {
         .with_invocations(invocations)
     }
 
-    fn run_exhaustive(
+    pub(super) fn run_exhaustive(
         engine: &EvalEngine,
         cands: &[Candidate],
     ) -> (Vec<Option<TimingReport>>, EngineStats, Vec<Quarantine>) {
@@ -1512,64 +1559,10 @@ mod tests {
 
 #[cfg(test)]
 mod fault_tests {
+    use super::tests::{candidate, g80, run_exhaustive};
     use super::*;
     use gpu_ir::build::KernelBuilder;
-    use gpu_ir::{Dim, Kernel};
-
-    fn g80() -> MachineSpec {
-        MachineSpec::geforce_8800_gtx()
-    }
-
-    fn loop_kernel(trips: u32, work: u32) -> Kernel {
-        let mut b = KernelBuilder::new("k");
-        let p = b.param(0);
-        let acc = b.mov(0.0f32);
-        b.repeat(trips, |b| {
-            let x = b.ld_global(p, 0);
-            for _ in 0..work {
-                b.fmad_acc(x, 1.0f32, acc);
-            }
-        });
-        b.st_global(p, 0, acc);
-        b.finish()
-    }
-
-    fn candidate(trips: u32, work: u32, invocations: u32) -> Candidate {
-        Candidate::new(
-            format!("t{trips}/w{work}/i{invocations}"),
-            loop_kernel(trips, work),
-            Launch::new(Dim::new_1d(256), Dim::new_1d(128)),
-        )
-        .with_invocations(invocations)
-    }
-
-    fn run_with_engine(
-        engine: &EvalEngine,
-        cands: &[Candidate],
-    ) -> (Vec<Option<TimingReport>>, EngineStats, Vec<Quarantine>) {
-        let spec = g80();
-        let mut stats = engine.stats_seed();
-        let mut quarantine = Vec::new();
-        let statics = engine.evaluate_statics(
-            &MetricsEval::default(),
-            &cands,
-            &spec,
-            &mut stats,
-            &mut quarantine,
-        );
-        let selected: Vec<usize> =
-            statics.iter().enumerate().filter_map(|(i, e)| e.as_ref().map(|_| i)).collect();
-        let sims = engine.simulate_selected(
-            &SimulatorEval::from_config(&engine.config),
-            &cands,
-            &statics,
-            &selected,
-            &spec,
-            &mut stats,
-            &mut quarantine,
-        );
-        (sims, stats, quarantine)
-    }
+    use gpu_ir::Dim;
 
     /// The exact content hash the engine will compute for a candidate.
     fn exact_of(c: &Candidate, spec: &MachineSpec) -> u64 {
@@ -1598,8 +1591,8 @@ mod fault_tests {
             .expect("some seed exercises both fault flavors");
 
         let engine = EvalEngine::new(EngineConfig { fault_plan: Some(plan), ..Default::default() });
-        let (sims, stats, quarantine) = run_with_engine(&engine, &cands);
-        let (clean_sims, ..) = run_with_engine(&EvalEngine::default(), &cands);
+        let (sims, stats, quarantine) = run_exhaustive(&engine, &cands);
+        let (clean_sims, ..) = run_exhaustive(&EvalEngine::default(), &cands);
 
         for (i, c) in cands.iter().enumerate() {
             match plan.fault_for(hashes[i]) {
@@ -1632,12 +1625,12 @@ mod fault_tests {
     fn fault_injection_is_deterministic_across_worker_counts() {
         let cands: Vec<Candidate> = (1..=8).map(|t| candidate(6 * t, t, 1)).collect();
         let plan = FaultPlan { seed: 11, rate_per_mille: 400, transient_per_mille: 500 };
-        let base = run_with_engine(
+        let base = run_exhaustive(
             &EvalEngine::new(EngineConfig { fault_plan: Some(plan), ..Default::default() }),
             &cands,
         );
         for jobs in [2usize, 8] {
-            let par = run_with_engine(
+            let par = run_exhaustive(
                 &EvalEngine::new(EngineConfig {
                     jobs,
                     fault_plan: Some(plan),
@@ -1678,11 +1671,11 @@ mod fault_tests {
             .position(|&h| plan.fault_for(h).is_some())
             .expect("victim exists by construction");
 
-        let (clean_sims, clean_stats, _) = run_with_engine(&EvalEngine::default(), &cands);
+        let (clean_sims, clean_stats, _) = run_exhaustive(&EvalEngine::default(), &cands);
         assert_eq!(clean_stats.unique_sims, 1, "fault-free family forks in one run");
 
         let engine = EvalEngine::new(EngineConfig { fault_plan: Some(plan), ..Default::default() });
-        let (sims, stats, quarantine) = run_with_engine(&engine, &cands);
+        let (sims, stats, quarantine) = run_exhaustive(&engine, &cands);
         for (i, c) in cands.iter().enumerate() {
             if i == victim {
                 assert!(sims[i].is_none());
@@ -1767,7 +1760,7 @@ mod fault_tests {
         let cands: Vec<Candidate> =
             vec![candidate(2, 1, 1), candidate(20_000, 2, 1), candidate(4, 3, 1)];
         let engine = EvalEngine::new(EngineConfig { sim_fuel: Some(20_000), ..Default::default() });
-        let (sims, stats, quarantine) = run_with_engine(&engine, &cands);
+        let (sims, stats, quarantine) = run_exhaustive(&engine, &cands);
         assert!(sims[0].is_some() && sims[2].is_some());
         assert!(sims[1].is_none());
         let q = quarantine.iter().find(|q| q.candidate == 1).expect("runaway quarantined");

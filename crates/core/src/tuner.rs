@@ -37,9 +37,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use crate::candidate::{Candidate, Evaluated};
-use crate::engine::{
-    EngineStats, EvalEngine, FrontierSnapshot, MetricsEval, Quarantine, SearchState, SimulatorEval,
-};
+use crate::engine::{EngineStats, EvalEngine, MetricsEval, Quarantine, SimulatorEval};
 use crate::metrics::MetricsOptions;
 use crate::model::{LowerBound, ProbeBound};
 use crate::obs::{EngineMetrics, EventKind, Json, RuntimeMetrics};
@@ -664,8 +662,6 @@ impl BranchAndBound {
         }
 
         let mut incumbent = f64::INFINITY;
-        let mut incumbent_rank: Option<usize> = None;
-        let mut completed_ranks: Vec<usize> = Vec::new();
         let mut spent_ms = 0.0f64;
         let mut pruned: Vec<crate::space::PartialPoint> = Vec::new();
 
@@ -743,49 +739,14 @@ impl BranchAndBound {
                     let d = dense(grid_rank);
                     statics[d] = batch_statics[local].clone();
                     if let Some(t) = &batch_sims[local] {
-                        if t.time_ms < incumbent {
-                            incumbent = t.time_ms;
-                            incumbent_rank = Some(grid_rank);
-                        }
+                        incumbent = incumbent.min(t.time_ms);
                         spent_ms += t.time_ms;
                     }
                     simulated[d] = batch_sims[local].clone();
-                    // "Completed" means the leaf reached a verdict: it
-                    // simulated, or its statics rejected it. A leaf the
-                    // engine never dispatched (budget- or interrupt-
-                    // truncated) has statics but no timing and stays
-                    // out of the snapshot.
-                    if batch_sims[local].is_some() || batch_statics[local].is_none() {
-                        completed_ranks.push(grid_rank);
-                    }
                 }
                 for mut q in batch_quar {
                     q.candidate = dense(ranks[q.candidate]);
                     quarantined.push(q);
-                }
-                if let Some(ck) = engine.checkpoint() {
-                    // Snapshot the search state after every batch so a
-                    // checkpoint written mid-search carries a coherent
-                    // frontier. Resume replays the whole search from
-                    // the start (results served from the checkpoint),
-                    // so this snapshot is diagnostic, not load-bearing
-                    // for correctness — but it must stay deterministic.
-                    let mut frontier: Vec<FrontierSnapshot> = heap
-                        .iter()
-                        .map(|f| FrontierSnapshot {
-                            bound_ms: f.key,
-                            bindings: f.partial.bindings().to_vec(),
-                        })
-                        .collect();
-                    frontier.sort_by(|a, b| {
-                        a.bound_ms.total_cmp(&b.bound_ms).then_with(|| a.bindings.cmp(&b.bindings))
-                    });
-                    ck.set_search_state(SearchState {
-                        incumbent_rank,
-                        incumbent_ms: incumbent.is_finite().then_some(incumbent),
-                        frontier,
-                        completed_ranks: completed_ranks.clone(),
-                    });
                 }
                 if stats.budget_truncated {
                     // The budget, not the bound, cut this search short;

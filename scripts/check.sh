@@ -223,6 +223,38 @@ diff -u "$tracedir/uninterrupted.txt" "$tracedir/resumed.txt" || {
     exit 1
 }
 
+echo "==> bnb resume smoke (tune matmul --strategy bnb --stop-after-units 2, --resume)"
+# The same guarantee for branch-and-bound, whose resume replays the
+# frontier from the top: stopped after 2 of its 4 timing units (exit
+# 130, no stdout report), the resumed run must match the uninterrupted
+# one byte for byte.
+cargo run --release -q -- tune matmul --strategy bnb --jobs 2 \
+    > "$tracedir/bnb_uninterrupted.txt"
+set +e
+cargo run --release -q -- tune matmul --strategy bnb --jobs 2 \
+    --checkpoint "$tracedir/bnb.ck" --stop-after-units 2 \
+    > "$tracedir/bnb_interrupted.txt" 2> "$tracedir/bnb_interrupted.err"
+status=$?
+set -e
+if [ "$status" -ne 130 ]; then
+    echo "bnb resume smoke: expected exit 130 from the interrupted run, got $status" >&2
+    exit 1
+fi
+if [ -s "$tracedir/bnb_interrupted.txt" ]; then
+    echo "bnb resume smoke: interrupted run must not print a stdout report" >&2
+    exit 1
+fi
+grep -q "interrupted after 2 units" "$tracedir/bnb_interrupted.err" || {
+    echo "bnb resume smoke: expected the run to stop after 2 units" >&2
+    exit 1
+}
+cargo run --release -q -- tune matmul --strategy bnb --jobs 2 \
+    --resume "$tracedir/bnb.ck" > "$tracedir/bnb_resumed.txt" 2> /dev/null
+diff -u "$tracedir/bnb_uninterrupted.txt" "$tracedir/bnb_resumed.txt" || {
+    echo "bnb resume smoke: resumed report differs from the uninterrupted run" >&2
+    exit 1
+}
+
 echo "==> strategy-zoo smoke (tune cp --strategy hill|anneal|genetic|surrogate)"
 # Every iterative strategy must complete a small seeded search on the
 # CP space and report a best configuration under its seed-bearing name.

@@ -7,7 +7,10 @@
 //! * **Kill-and-resume** — a search stopped mid-run (the deterministic
 //!   stand-in for SIGKILL) and resumed from its checkpoint produces a
 //!   final report, canonical trace, and deterministic metrics that are
-//!   byte-identical to an uninterrupted run, at `--jobs` 1, 2, and 8.
+//!   byte-identical to an uninterrupted run, at `--jobs` 1, 2, and 8 —
+//!   also over a space that forks trip-count families, and from a
+//!   checkpoint written by an older build that still carries a `state`
+//!   search snapshot.
 //! * **Warm store** — a second run over the same space with the same
 //!   store completes with zero fresh simulations: every unique comes
 //!   back as a store hit and the report matches the cold run.
@@ -20,7 +23,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use gpu_autotune::arch::{LimitingFactor, MachineSpec, Occupancy};
-use gpu_autotune::kernels::{sad::Sad, App};
+use gpu_autotune::kernels::{mri_fhd::MriFhd, sad::Sad, App};
 use gpu_autotune::optspace::engine::{
     cache, checkpoint, store, CheckpointMeta, Checkpointer, EngineConfig, EvalEngine, ResultStore,
 };
@@ -365,4 +368,86 @@ fn a_checkpoint_of_the_previous_key_schema_refuses_to_resume() {
     fs::write(&ck_path, text.replacen(&current, "\"schema\":1", 1)).expect("rewrite");
     let err = checkpoint::load(&ck_path).expect_err("an old checkpoint must not resume");
     assert!(err.contains("checkpoint schema 1"), "{err}");
+}
+
+/// The `state` object older builds wrote between `units_done` and
+/// `results`: a bnb search snapshot (incumbent, frontier, completed
+/// ranks) that resume never read.
+const LEGACY_STATE: &str = concat!(
+    r#""state":{"incumbent_rank":3,"incumbent_ms":1.5,"#,
+    r#""frontier":[{"bound_ms":0.75,"bindings":[1,null,0]},{"bound_ms":2.25,"bindings":[null,null,null]}],"#,
+    r#""completed_ranks":[0,3,9]},"#,
+);
+
+#[test]
+fn a_checkpoint_carrying_a_legacy_state_field_still_resumes() {
+    let dir = scratch("legacy-state");
+    let ck_path = dir.join("ck.json");
+    let meta = CheckpointMeta::new("sad", "exhaustive", None, &Sad::test_problem().space());
+    let (reference, ref_trace) = run_sad(2, |e| e);
+
+    let ck = Arc::new(Checkpointer::new(&ck_path, 8, meta.clone()).with_stop_after(20));
+    let _ = run_sad(2, |e| e.with_checkpoint(Arc::clone(&ck)));
+    ck.write_now().expect("publish");
+    let text = fs::read_to_string(&ck_path).expect("read");
+    assert!(!text.contains("\"state\""), "a checkpoint carries no search snapshot");
+    let legacy = text.replacen("\"results\":", &format!("{LEGACY_STATE}\"results\":"), 1);
+    assert!(legacy.contains(",\"state\":{\"incumbent_rank\":3,"), "the old layout");
+    fs::write(&ck_path, legacy).expect("rewrite as an older build wrote it");
+
+    let loaded = checkpoint::load(&ck_path).expect("a legacy state field is ignored");
+    assert_eq!(loaded.meta, meta);
+    assert!(!loaded.results.is_empty());
+    let resume_ck = Arc::new(Checkpointer::new(&ck_path, 8, meta));
+    resume_ck.seed(&loaded.results);
+    let results = Arc::new(loaded.results);
+    let (resumed, res_trace) =
+        run_sad(2, |e| e.with_replay(Arc::clone(&results)).with_checkpoint(resume_ck));
+    assert_reports_match(&resumed, &reference);
+    assert_eq!(resumed.stats, reference.stats);
+    assert_eq!(res_trace.canonical_text(), ref_trace.canonical_text());
+}
+
+/// Run the MRI-FHD space exhaustively: its work-per-invocation splits
+/// fork as trip-count families.
+fn run_mri(jobs: usize, wrap: impl FnOnce(EvalEngine) -> EvalEngine) -> (SearchReport, Trace) {
+    let sink = Arc::new(EventSink::new());
+    let engine = wrap(
+        EvalEngine::new(EngineConfig { jobs, ..Default::default() }).with_sink(Arc::clone(&sink)),
+    );
+    let report = ExhaustiveSearch.run_with(&engine, &MriFhd::test_problem().candidates(), &g80());
+    (report, sink.drain())
+}
+
+#[test]
+fn resume_over_forked_families_is_byte_identical() {
+    let dir = scratch("resume-families");
+    let ck_path = dir.join("ck.json");
+    let meta = CheckpointMeta::new("mri", "exhaustive", None, &MriFhd::test_problem().space());
+    for jobs in [1usize, 2] {
+        let (reference, ref_trace) = run_mri(jobs, |e| e);
+        assert!(reference.stats.family_forks > 0, "the space must fork families");
+
+        let ck = Arc::new(Checkpointer::new(&ck_path, 4, meta.clone()).with_stop_after(8));
+        let (partial, _) = run_mri(jobs, |e| e.with_checkpoint(Arc::clone(&ck)));
+        assert!(ck.should_stop(), "the stop-after must have tripped");
+        assert!(partial.stats.family_forks > 0, "some families were checkpointed");
+        assert!(partial.stats.family_forks < reference.stats.family_forks, "stopped mid-search");
+        ck.write_now().expect("publish");
+
+        let loaded = checkpoint::load(&ck_path).expect("checkpoint loads");
+        let resume_ck = Arc::new(Checkpointer::new(&ck_path, 4, meta.clone()));
+        resume_ck.seed(&loaded.results);
+        let results = Arc::new(loaded.results);
+        let (resumed, res_trace) =
+            run_mri(jobs, |e| e.with_replay(Arc::clone(&results)).with_checkpoint(resume_ck));
+        assert_reports_match(&resumed, &reference);
+        assert_eq!(resumed.stats, reference.stats, "stats differ after resume at {jobs} jobs");
+        assert_eq!(
+            res_trace.canonical_text(),
+            ref_trace.canonical_text(),
+            "canonical trace differs after resume at {jobs} jobs"
+        );
+        let _ = fs::remove_file(&ck_path);
+    }
 }
